@@ -2,15 +2,16 @@
  * @file
  * Intra-simulation parallel-ticking bench: three ladders over
  * `engine.tickJobs` — memory-bound (partition groups dominate),
- * compute-bound (per-SM groups dominate) and a loop kernel (gemm,
- * SM-parallel only because the loop-aware footprint analysis
- * proves its tiled stores cross-block disjoint). Each ladder
+ * compute-bound (SM cores dominate) and a loop kernel (gemm). Worker
+ * threads tick only the partition groups; SM cores always tick on
+ * the coordinator. Each ladder
  * verifies that cycles, traces and counters are byte-identical
  * across worker counts (rendering records through the JSON sink),
  * prints the wall-clock and serial-vs-parallel speedup per point,
  * and writes the `BENCH_intrasim.json` perf artifact
  * (`gpulat.bench_intrasim.v3`: per-point safety verdicts ride
- * along) CI uploads so intra-sim scaling is visible PR-over-PR.
+ * along as a diagnostic) CI uploads so intra-sim scaling is visible
+ * PR-over-PR.
  *
  * Ladder shapes:
  *  - memory-bound: few SMs, 8 partitions, deep FR-FCFS DRAM queues,
@@ -18,13 +19,10 @@
  *    work (queue scans, bank timing, L2 lookups) far outweighs the
  *    SM slice.
  *  - compute-bound: 8 SMs at full warp occupancy grinding long
- *    dependent FFMA chains, 2 partitions — the per-SM tick groups
- *    carry nearly all the work, exercising the SM sharding and the
- *    work-stealing pool rather than the partition path.
- *  - loop kernel: gemm's inner-product loop, 8 SMs / 2 partitions
- *    — a backward branch used to force serialization outright;
- *    its speedup exists exactly because the abstract interpreter
- *    now proves the footprint block-disjoint.
+ *    dependent FFMA chains, 2 partitions — the coordinator-ticked
+ *    SM cores carry nearly all the work, so this ladder measures
+ *    what worker dispatch costs when it has little to overlap.
+ *  - loop kernel: gemm's inner-product loop, 8 SMs / 2 partitions.
  *
  * On a single-core host the parallel points report their honest
  * (≈1x or below) ratios — the speedup columns are measurements,
@@ -100,9 +98,7 @@ memoryBoundSpec(std::size_t tick_jobs)
 /**
  * Compute-bound many-SM cell: 8 SMs at 48 warps each grinding
  * dependent 192-deep FFMA chains, only 2 partitions — nearly all
- * per-cycle work lives in the per-SM tick groups (compute_stream's
- * kernel is loop-free and affine, so the launch safety analysis
- * lets the SMs tick concurrently).
+ * per-cycle work lives in the SM cores.
  */
 ExperimentSpec
 computeBoundSpec(std::size_t tick_jobs)
@@ -121,12 +117,9 @@ computeBoundSpec(std::size_t tick_jobs)
 }
 
 /**
- * Loop-kernel cell: gemm's tiled inner loop used to defeat the
- * straight-line safety checker and serialize every SM; the
- * loop-aware footprint analysis now proves its stores cross-block
- * disjoint, so this ladder measures the speedup that verdict
- * unlocked (the per-point verdicts in the artifact are the
- * regression gate for it).
+ * Loop-kernel cell: gemm's tiled inner loop (the loop-aware
+ * footprint analysis proves its stores cross-block disjoint; the
+ * per-point verdicts in the artifact keep that visible).
  */
 ExperimentSpec
 loopKernelSpec(std::size_t tick_jobs)
@@ -337,8 +330,7 @@ main(int argc, char **argv)
     ladders.push_back(runLadder(
         "loop_kernel",
         "loop kernel: gemm, 8 SMs / 2 partitions",
-        "gemm n=128 (gf106, 8 SMs / 2 partitions, 48 warps/SM; "
-        "SM-parallel via the loop-aware footprint analysis)",
+        "gemm n=128 (gf106, 8 SMs / 2 partitions, 48 warps/SM)",
         loopKernelSpec, ladder));
 
     bool ok = true;

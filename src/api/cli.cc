@@ -55,8 +55,8 @@ usage(std::ostream &err)
            "is byte-identical\n"
            "                     to --jobs 1, committed in sweep "
            "order)\n"
-           "  --tick-jobs N      worker threads ticking partition "
-           "and SM groups\n"
+           "  --tick-jobs N      worker threads ticking memory "
+           "partitions\n"
            "                     *inside* each simulation (default "
            "1 = serial; 0 = hardware\n"
            "                     concurrency; output is "
@@ -81,40 +81,6 @@ usage(std::ostream &err)
     return 2;
 }
 
-/**
- * The verdict tag shown by `gpulat list`: the analysis outcome of
- * the workload's registry defaults shrunk to a quick probe scale.
- * The verdict is a pure function of (kernel, grid, params), so the
- * probe must actually run the workload to obtain its launches —
- * kept cheap with a small scale (the same mechanism the quick-CI
- * suites use). Workloads whose verdict is shape-dependent report
- * the probe shape's verdict; `gpulat analyze` gives the full story
- * at any size.
- */
-const char *
-workloadVerdictTag(const std::string &name)
-{
-    try {
-        ExperimentSpec spec;
-        spec.workload = name;
-        spec.scale = 0.05;
-        // The probe only needs the grid to exist; a small device
-        // memory keeps 15 back-to-back Gpu constructions out of
-        // the listing's critical path (buffer *addresses* shift,
-        // footprint disjointness does not).
-        spec.overrides = {"deviceMemBytes=" +
-                          std::to_string(64 * 1024 * 1024)};
-        SmParallelVerdict verdict;
-        runExperiment(spec,
-                      [&](Gpu &gpu, const ExperimentRecord &) {
-                          verdict = gpu.lastVerdict();
-                      });
-        return verdict.safe ? " [sm-parallel]" : " [serialized]";
-    } catch (const FatalError &) {
-        return " [analysis-failed]";
-    }
-}
-
 void
 listWorkloads(std::ostream &out)
 {
@@ -124,7 +90,6 @@ listWorkloads(std::ostream &out)
         const WorkloadEntry *entry = reg.find(name);
         out << "  " << name
             << (entry->benchSuite ? " [bench-suite]" : " [on-demand]")
-            << workloadVerdictTag(name)
             << " — " << entry->description << "\n";
         for (const WorkloadParamSpec &p : entry->params) {
             out << "      " << p.name << " (default "

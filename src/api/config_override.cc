@@ -220,7 +220,6 @@ buildKeys()
         GPULAT_CFG_KEY(dramClock, "ratio M/D"),
         GPULAT_CFG_KEY(idleFastForward, "off|full|perDomain"),
         GPULAT_CFG_KEY(engine.tickJobs, "jobs (0 = hw)"),
-        GPULAT_CFG_KEY(engine.smGroupSize, "SMs/group (0 = fused)"),
         GPULAT_CFG_KEY(engine.watchdogStallSteps, "steps (0 = off)"),
         GPULAT_CFG_KEY(icntLatency, "cycles"),
         GPULAT_CFG_KEY(icntInQueue, "uint"),

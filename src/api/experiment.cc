@@ -94,9 +94,9 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
               static_cast<double>(result.cycles)
         : 0.0;
 
-    // SM-parallel safety verdict (kernel_analysis.hh): computed for
-    // every launch in every engine mode, invariant across tick-jobs
-    // and SM groupings.
+    // SM-parallel safety verdict (kernel_analysis.hh), a diagnostic:
+    // computed for every launch in every engine mode, invariant
+    // across tick-jobs.
     rec.metrics["analysis.sm_parallel"] =
         gpu.lastVerdict().safe ? 1.0 : 0.0;
     rec.analysisReason = gpu.lastVerdict().reason;

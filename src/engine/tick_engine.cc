@@ -116,18 +116,11 @@ class TickEngine::WorkerPool
     std::size_t workers() const { return threads_.size(); }
 
   private:
-    /** Claim and run batches of section @p epoch until it is
-     *  exhausted or a newer section replaces it. Claims are guided
-     *  self-scheduling: each CAS takes a chunk proportional to the
-     *  remaining batches over the thread count, so sections with
-     *  many small batches (one per SM group) cost O(threads) CAS
-     *  round-trips instead of one per batch, while the final
-     *  chunks shrink to single batches and an uneven tail can
-     *  still be stolen one group at a time. */
+    /** Claim and run batches of section @p epoch, one per CAS,
+     *  until it is exhausted or a newer section replaces it. */
     void
     drain(std::uint64_t epoch)
     {
-        const std::size_t threads = threads_.size() + 1;
         std::uint64_t cur = cursor_.load(std::memory_order_acquire);
         while (true) {
             if ((cur >> kIdxBits) != epoch)
@@ -141,19 +134,13 @@ class TickEngine::WorkerPool
             // that count (release/acquire on count_ keeps the
             // order on weak hardware), so the stale CAS target no
             // longer exists and the worst case is one wasted loop.
-            const std::size_t count =
-                count_.load(std::memory_order_acquire);
-            if (idx >= count)
+            if (idx >= count_.load(std::memory_order_acquire))
                 return; // exhausted
-            const std::size_t take =
-                std::max<std::size_t>(1,
-                                      (count - idx) / (2 * threads));
             if (cursor_.compare_exchange_weak(
-                    cur, cur + take, std::memory_order_acq_rel,
+                    cur, cur + 1, std::memory_order_acq_rel,
                     std::memory_order_acquire)) {
-                for (std::size_t b = 0; b < take; ++b)
-                    owner_.runBatch(idx + b);
-                done_.fetch_add(take, std::memory_order_release);
+                owner_.runBatch(idx);
+                done_.fetch_add(1, std::memory_order_release);
                 cur = cursor_.load(std::memory_order_acquire);
             }
             // CAS failure reloaded cur: revalidate epoch + index.
@@ -308,16 +295,6 @@ TickEngine::setTickJobs(std::size_t jobs)
     scheduleDirty_ = true;
 }
 
-void
-TickEngine::setSerialized(Clocked &component, bool serialized)
-{
-    Registration &reg = order_[indexOf(component)];
-    if (reg.forceSerial == serialized)
-        return;
-    reg.forceSerial = serialized;
-    scheduleDirty_ = true;
-}
-
 std::size_t
 TickEngine::resolveTickJobs(std::size_t jobs)
 {
@@ -341,7 +318,7 @@ TickEngine::finalizeSchedule()
     // groups in one pass: a demoted component keeps acting as a
     // barrier for every batch around it, which is always safe.
     for (auto &reg : order_)
-        reg.effGroup = reg.forceSerial ? 0 : reg.group;
+        reg.effGroup = reg.group;
     for (std::size_t i = 0; i < order_.size(); ++i) {
         for (const std::size_t c : order_[i].consumers) {
             if (order_[i].group != order_[c].group &&
@@ -491,8 +468,7 @@ TickEngine::flushSection()
 
     sectionErrors_.assign(sectionBatches_.size(), nullptr);
     if (sectionBatches_.size() == 1) {
-        // One group: nothing to overlap, skip the dispatch (this
-        // is the common shape for the SM group's slice of a cycle).
+        // One group: nothing to overlap, skip the dispatch.
         runBatch(0);
     } else {
         pool_->run(sectionBatches_.size());

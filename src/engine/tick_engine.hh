@@ -51,13 +51,9 @@
  *  - assigning two components to different non-coordinator groups
  *    is the wiring code's *assertion* that their tick() functions
  *    touch disjoint state (each memory partition only mutates its
- *    own queues, banks and pre-resolved counters; each SM core
- *    appends to its own collector shards and request-id pool) —
- *    components that do share ordered mutable state must share one
- *    group, which keeps them in registration order on a single
- *    worker, and a group can be forced onto the coordinator per
- *    launch via setSerialized() when the safety of concurrent
- *    ticking depends on the running kernel;
+ *    own queues, banks and pre-resolved counters) — components
+ *    that do share ordered mutable state must share one group,
+ *    which keeps them in registration order on a single worker;
  *  - a wake edge (link()) between two different non-coordinator
  *    groups contradicts that assertion, so both endpoints are
  *    demoted to the coordinator and tick in registration order on
@@ -68,16 +64,13 @@
  *    dispatched, so workers only call tick() — the one operation
  *    that commutes across groups by the disjointness assertion;
  *  - per-cycle dispatch is barrier-free work stealing: workers
- *    claim batches from a shared atomic epoch-tagged cursor (no
- *    mutex/condvar on the active-cycle path; they park on a
- *    condvar after an idle-spin threshold so serial and
- *    fast-forward phases don't tax the host), claims are guided —
- *    a thread grabs a shrinking chunk of the remaining batches per
- *    CAS, so many small per-SM batches don't degrade into one CAS
- *    per batch while uneven tails still split one batch at a time
- *    — the coordinator steals from the same cursor, and completion
- *    is a plain atomic counter: on an oversubscribed host the
- *    coordinator simply ends up ticking every batch itself.
+ *    claim one batch at a time from a shared atomic epoch-tagged
+ *    cursor (no mutex/condvar on the active-cycle path; they park
+ *    on a condvar after an idle-spin threshold so serial and
+ *    fast-forward phases don't tax the host), the coordinator
+ *    steals from the same cursor, and completion is a plain atomic
+ *    counter: on an oversubscribed host the coordinator simply ends
+ *    up ticking every batch itself.
  */
 
 #ifndef GPULAT_ENGINE_TICK_ENGINE_HH
@@ -132,19 +125,6 @@ class TickEngine
      * they must not tick concurrently).
      */
     void link(Clocked &producer, Clocked &consumer);
-
-    /**
-     * Force @p component to tick on the coordinator thread (in
-     * registration order) regardless of its declared group, or lift
-     * that force again. The wiring layer uses this as a per-launch
-     * safety valve: SM cores live in per-SM groups, but a kernel
-     * whose ticks touch cross-SM shared state (atomics, data-
-     * dependent stores) must serialize. Tick *counting* stays with
-     * the declared group, so `engine.group.*.ticks_run` counters
-     * are identical for every tickJobs value and both scheduling
-     * shapes.
-     */
-    void setSerialized(Clocked &component, bool serialized);
 
     /** Select the fast-forward policy (default Full). */
     void setMode(IdleFastForward mode) { mode_ = mode; }
@@ -255,9 +235,6 @@ class TickEngine
         unsigned group = 0;
         /** Scheduling group after edge demotion (0 = coordinator). */
         unsigned effGroup = 0;
-        /** setSerialized(): tick on the coordinator regardless of
-         *  the declared group (per-launch safety fallback). */
-        bool forceSerial = false;
 
         /** Raw promise from the last post-tick query (kNoCycle =
          *  fully drained); meaningless while !cacheValid. */

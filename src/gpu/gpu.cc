@@ -104,11 +104,6 @@ Gpu::Gpu(GpuConfig config)
             p, part_params, &stats_, &dmem_));
     }
 
-    // One collector shard per SM — shards must exist before the SM
-    // constructors grab their append handles.
-    latCollector_.resize(config_.numSms);
-    expCollector_.resize(config_.numSms);
-
     auto partition_of = [this](Addr line) {
         return config_.partitionOf(line);
     };
@@ -134,31 +129,11 @@ Gpu::Gpu(GpuConfig config)
     // concurrently): each partition's two sides form one group —
     // tickMemSide()/tickL2Side() touch only that partition's
     // queues, banks and pre-resolved counters, so partitions
-    // commute with each other and with the SM groups. SM cores
-    // append only to per-SM state (their own collector shards,
-    // their own request-id pool, per-source crossbar inject
-    // queues), so clusters of engine.smGroupSize SMs get their own
-    // groups — subject to the per-launch kernel safety analysis in
-    // launch(), which serializes SMs whose kernel could race on
-    // device memory (functional execution happens at issue).
-    // smGroupSize == 0 restores the single fused "sm" group. Ports,
-    // crossbars and the dispatcher move packets *between* groups,
-    // so they stay on the coordinator (group 0) and act as ordering
-    // barriers around the parallel batches.
-    const std::size_t cluster = config_.engine.smGroupSize;
-    smGroupOf_.resize(config_.numSms);
-    if (cluster == 0) {
-        const unsigned fused = engine_.addGroup("sm");
-        std::fill(smGroupOf_.begin(), smGroupOf_.end(), fused);
-    } else {
-        unsigned group = 0;
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            if (s % cluster == 0)
-                group = engine_.addGroup(
-                    "sm" + std::to_string(s / cluster));
-            smGroupOf_[s] = group;
-        }
-    }
+    // commute with each other. Everything else stays on the
+    // coordinator (group 0) in registration order: ports, crossbars
+    // and the dispatcher move packets *between* groups, and SM
+    // cores execute instructions functionally at issue against the
+    // shared device memory and append to the shared collectors.
     engine_.add(icnt, reqNet_);
     engine_.add(icnt, respNet_);
     engine_.add(l2, reqEject_);
@@ -174,8 +149,8 @@ Gpu::Gpu(GpuConfig config)
     }
     engine_.add(icnt, respInject_);
     engine_.add(core, respEject_);
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        engine_.add(core, *sms_[s], smGroupOf_[s]);
+    for (auto &sm : sms_)
+        engine_.add(core, *sm);
     engine_.add(core, dispatcher_);
 
     // Wake edges: every path a performed tick can deliver input
@@ -320,31 +295,20 @@ Gpu::stallReport(const std::string &kernel_name)
     }
     // Per-tick-group progress: group tick totals are invariant
     // across tickJobs, so a group whose ticks_run froze is stalled
-    // in every schedule. SM groups also aggregate member idle.
+    // in every schedule.
     for (unsigned g = 1; g < engine_.numGroups(); ++g) {
         oss << "  engine.group." << engine_.groupName(g)
-            << ": ticks_run=" << engine_.groupTicksRun(g);
-        std::uint64_t idle = 0;
-        bool any_sm = false;
-        for (unsigned s = 0; s < config_.numSms; ++s) {
-            if (smGroupOf_[s] != g)
-                continue;
-            any_sm = true;
-            idle += stats_.counterValue(
-                "sm" + std::to_string(s) + ".idle_cycles");
-        }
-        if (any_sm)
-            oss << " idle=" << idle;
-        oss << "\n";
+            << ": ticks_run=" << engine_.groupTicksRun(g) << "\n";
     }
-    if (!smParallelNote_.empty())
-        oss << "  sm-parallel: " << smParallelNote_ << "\n";
+    if (!verdict_.reason.empty())
+        oss << "  sm-parallel verdict: "
+            << (verdict_.safe ? "safe (" : "unsafe (")
+            << verdict_.reason << ")\n";
     for (const LaunchId id : partActive_) {
         const PartLaunch &pl = *partLaunches_[id];
         oss << "  launch " << id << " ('" << pl.ctx.kernel->name
             << "'): " << pl.nextBlock << "/" << pl.ctx.numBlocks
-            << " blocks on " << pl.smIds.size() << " SMs"
-            << (pl.serialized ? " [serialized]" : "") << "\n";
+            << " blocks on " << pl.smIds.size() << " SMs\n";
     }
     oss << "  icnt: req=" << reqNet_.inFlight()
         << " resp=" << respNet_.inFlight() << " in flight\n";
@@ -430,32 +394,11 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
         ctx_.localBase = localBase_;
     }
 
-    // Atomics forward their functional RMW to the owning partition
-    // in every mode (not just when SM groups are on): the fused
-    // smGroupSize == 0 shape must produce byte-identical results to
-    // the grouped shapes, so the functional semantics cannot depend
-    // on the grouping.
-    ctx_.forwardAtomics = true;
-
-    // Decide whether this launch may tick SMs concurrently. With
-    // per-cluster SM groups the analysis gates concurrency; an
-    // unsafe kernel (data-dependent stores, potentially overlapping
-    // cross-block footprints) pins every SM to the coordinator for
-    // this launch. Group tick *counters* stay with the declared
-    // groups either way, so records are identical across tickJobs
-    // regardless of the verdict. The fused smGroupSize == 0 shape
-    // keeps SMs in registration order within their single group and
-    // needs no gating — but the verdict is still computed so every
-    // ExperimentRecord carries it.
+    // The SM-parallel safety verdict is a diagnostic: SM cores tick
+    // in registration order on the coordinator whatever it says,
+    // but every ExperimentRecord carries it.
     verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
                                        threads_per_block, ctx_.params);
-    smParallelNote_ = std::string(verdict_.safe ? "parallel ("
-                                                : "serialized (") +
-                      verdict_.reason + ")";
-    if (config_.engine.smGroupSize != 0) {
-        for (auto &sm : sms_)
-            engine_.setSerialized(*sm, !verdict_.safe);
-    }
 
     dispatcher_.beginGrid(num_blocks);
     for (auto &sm : sms_)
@@ -564,35 +507,12 @@ Gpu::beginPartitionedLaunch(const Kernel &kernel, unsigned num_blocks,
     pl->ctx.totalThreads =
         static_cast<std::uint64_t>(num_blocks) * threads_per_block;
     pl->ctx.localBytesPerThread = config_.localBytesPerThread;
-    pl->ctx.forwardAtomics = true;
     pl->smIds = std::move(sm_ids);
     pl->active = true;
 
-    // Per-launch safety, composed across the resident set: this
-    // launch serializes when its own kernel is unsafe *or* its
-    // footprint may race with any active launch's. Only this
-    // launch's SMs are pinned — the coordinator joins every
-    // parallel section before ticking a serialized component
-    // inline, so one conservative tenant never races with (or slows
-    // the verdict of) its SM-parallel neighbours. The pin is
-    // conservative across the launch's whole lifetime: it is not
-    // re-evaluated when a conflicting neighbour retires first.
-    pl->verdict = analyzeSmParallelSafety(
-        kernel, num_blocks, threads_per_block, pl->ctx.params);
-    verdict_ = pl->verdict;
-    if (config_.engine.smGroupSize != 0) {
-        bool serial = !pl->verdict.safe;
-        for (const LaunchId other : partActive_)
-            if (launchesMayConflict(pl->verdict,
-                                    partLaunches_[other]->verdict))
-                serial = true;
-        pl->serialized = serial;
-        for (const unsigned s : pl->smIds)
-            engine_.setSerialized(*sms_[s], serial);
-        smParallelNote_ = "launch '" + kernel.name + "' " +
-                          (serial ? "serialized (" : "parallel (") +
-                          pl->verdict.reason + ")";
-    }
+    verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
+                                       threads_per_block,
+                                       pl->ctx.params);
 
     for (const unsigned s : pl->smIds)
         sms_[s]->startLaunch(&pl->ctx);
@@ -626,9 +546,6 @@ Gpu::retirePartitionedLaunch(LaunchId id)
                   "retiring an unfinished launch");
     PartLaunch &pl = *partLaunches_[id];
     pl.active = false;
-    if (config_.engine.smGroupSize != 0)
-        for (const unsigned s : pl.smIds)
-            engine_.setSerialized(*sms_[s], false);
     partActive_.erase(
         std::find(partActive_.begin(), partActive_.end(), id));
 }
@@ -669,12 +586,6 @@ Gpu::partitionedDispatchReady() const
                 return true;
     }
     return false;
-}
-
-bool
-Gpu::partitionedSerialized(LaunchId id) const
-{
-    return partLaunches_[id]->serialized;
 }
 
 } // namespace gpulat

@@ -84,14 +84,10 @@ class Gpu
      * its blocks are dispatched from a Clocked tick via
      * tickPartitionedDispatch(), completion is polled with
      * partitionedLaunchDone(), and retirePartitionedLaunch() frees
-     * the SMs for the next admission. The per-launch safety verdict
-     * (kernel_analysis.hh) is composed against every other active
-     * launch's footprint, and setSerialized() pins only *this*
-     * launch's SMs when it is unsafe or the footprints may overlap
-     * — an unsafe tenant never costs its neighbours their SM
-     * parallelism. Kernels and param vectors must outlive the
-     * launch; local-memory kernels are rejected (the single backing
-     * store cannot be shared between concurrent grids).
+     * the SMs for the next admission. Kernels and param vectors
+     * must outlive the launch; local-memory kernels are rejected
+     * (the single backing store cannot be shared between concurrent
+     * grids).
      * @{
      */
     using LaunchId = std::uint32_t;
@@ -106,7 +102,7 @@ class Gpu
     /** All blocks dispatched and every owned SM idle and drained? */
     bool partitionedLaunchDone(LaunchId id) const;
 
-    /** Release a done launch's SMs (and its serialization pin). */
+    /** Release a done launch's SMs. */
     void retirePartitionedLaunch(LaunchId id);
 
     /**
@@ -122,14 +118,12 @@ class Gpu
     bool partitionedDispatchReady() const;
 
     bool anyPartitionedActive() const { return !partActive_.empty(); }
-
-    /** This launch's composed setSerialized() decision (tests). */
-    bool partitionedSerialized(LaunchId id) const;
     /** @} */
 
     /** @name Instrumentation @{ */
     /** SM-parallel safety verdict of the most recent launch (either
-     *  flavour); default-constructed before any launch. */
+     *  flavour; a diagnostic — SM cores always tick in registration
+     *  order); default-constructed before any launch. */
     const SmParallelVerdict &lastVerdict() const { return verdict_; }
     StatRegistry &stats() { return stats_; }
     LatencyCollector &latencies() { return latCollector_; }
@@ -179,15 +173,13 @@ class Gpu
                              std::size_t num_params) const;
 
     /** One concurrent launch: address-stable context (SMs keep a
-     *  raw pointer), owned SMs, dispatch cursor, safety verdict. */
+     *  raw pointer), owned SMs, dispatch cursor. */
     struct PartLaunch
     {
         LaunchContext ctx;
         std::vector<unsigned> smIds;
         unsigned nextBlock = 0;
         bool active = false;
-        bool serialized = false;
-        SmParallelVerdict verdict;
     };
 
     GpuConfig config_;
@@ -211,12 +203,8 @@ class Gpu
     std::vector<std::unique_ptr<PartitionL2Side>> partL2Sides_;
     /** @} */
 
-    /** Declared tick group of each SM core (stall reports). */
-    std::vector<unsigned> smGroupOf_;
-    /** Verdict of the current launch's SM-parallel safety analysis
-     *  (kernel_analysis.hh); shown in watchdog stall reports. */
-    std::string smParallelNote_;
-    /** Full verdict of the most recent launch (record metrics). */
+    /** SM-parallel safety verdict of the most recent launch
+     *  (record metrics, watchdog stall reports). */
     SmParallelVerdict verdict_;
 
     LaunchContext ctx_;

@@ -86,33 +86,20 @@ struct GpuConfig
      * simulated cycles, traces or counters, and `engine.tickJobs`
      * is therefore excluded from the overrides an ExperimentRecord
      * reports (the CI determinism gate byte-diffs output across
-     * its values). `engine.smGroupSize` *is* reported: it renames
-     * the `engine.group.sm*` tick counters, so records taken at
-     * different groupings are honestly distinguishable even though
-     * cycles and traces stay identical.
+     * its values).
      */
     struct EngineParams
     {
         /**
-         * Worker threads ticking independent partition and SM
-         * groups *inside* one simulation (TickEngine::setTickJobs):
-         * 1 = today's serial path (default), 0 = hardware
-         * concurrency (clamped to >= 1). Dotted override key
-         * `engine.tickJobs`; the CLI also accepts `--tick-jobs N`.
+         * Worker threads ticking independent partition groups
+         * *inside* one simulation (TickEngine::setTickJobs):
+         * 1 = the serial path (default), 0 = hardware concurrency
+         * (clamped to >= 1). SM cores always tick on the
+         * coordinator thread in registration order. Dotted override
+         * key `engine.tickJobs`; the CLI also accepts
+         * `--tick-jobs N`.
          */
         std::size_t tickJobs = 1;
-
-        /**
-         * SMs per tick group: each cluster of this many SM cores
-         * forms one tick group ("sm0", "sm1", ...) that may tick
-         * concurrently with the other clusters and the partition
-         * groups, subject to the per-launch kernel safety analysis
-         * (kernel_analysis.hh). 0 fuses every SM into a single
-         * "sm" group (the pre-per-SM-sharding shape); 1 (default)
-         * gives every SM its own group. Dotted override key
-         * `engine.smGroupSize`.
-         */
-        std::size_t smGroupSize = 1;
 
         /**
          * Launch watchdog: panic with a per-layer stall report

@@ -1492,25 +1492,4 @@ analyzeSmParallelSafety(const Kernel &kernel, unsigned num_blocks,
     return analyzer.run();
 }
 
-bool
-launchesMayConflict(const SmParallelVerdict &a,
-                    const SmParallelVerdict &b)
-{
-    if (!a.hasStore && !b.hasStore)
-        return false;
-    if (!a.footprintKnown || !b.footprintKnown)
-        return true;
-    for (const FootprintRange &ra : a.footprint) {
-        for (const FootprintRange &rb : b.footprint) {
-            if (ra.atomic || rb.atomic)
-                continue; // forwarded: schedule-invariant anyway
-            if (!ra.store && !rb.store)
-                continue;
-            if (ra.lo < rb.hi && rb.lo < ra.hi)
-                return true;
-        }
-    }
-    return false;
-}
-
 } // namespace gpulat

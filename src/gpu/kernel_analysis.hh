@@ -2,8 +2,8 @@
  * @file
  * Launch-time safety analysis for SM-parallel ticking.
  *
- * SMs execute instructions *functionally at issue*, so two SMs in
- * different tick groups may race on device memory if their blocks'
+ * SMs execute instructions *functionally at issue*, so two SMs
+ * ticking concurrently could race on device memory if their blocks'
  * global stores can touch the same bytes a sibling block loads or
  * stores. This pass proves, per launch, that they cannot: it runs a
  * worklist abstract interpretation over the kernel's CFG in a
@@ -31,12 +31,10 @@
  * which runs under the coordinator barrier, so their order — and
  * therefore every verdict — is schedule-invariant.
  *
- * The verdict gates TickEngine::setSerialized() on the SM cores:
- * kernels that pass tick SM-parallel, kernels that don't
- * (data-dependent store addressing, provably overlapping footprints)
- * fall back to coordinator ticking for that launch. Either way
- * results are byte-identical to the serial schedule; the analysis
- * only decides how much parallelism is safe to use.
+ * The verdict is a diagnostic: SM cores always tick on the engine's
+ * coordinator thread in registration order, whatever it says. It is
+ * reported per launch by `gpulat analyze` and in every
+ * ExperimentRecord (`analysis.sm_parallel`, `analysisReason`).
  */
 
 #ifndef GPULAT_GPU_KERNEL_ANALYSIS_HH
@@ -165,14 +163,11 @@ struct SmParallelVerdict
     std::vector<std::string> reasonChain;
 
     /**
-     * @name Whole-grid global footprint (cross-launch composition)
+     * @name Whole-grid global footprint
      *
      * When `footprintKnown`, @p footprint holds a superset byte
      * range for every non-atomic global access the launch can
-     * perform, across its whole grid. The serving layer composes
-     * verdicts of concurrently resident launches with
-     * launchesMayConflict(): launches whose stores provably miss
-     * each other's accesses may tick SM-parallel side by side.
+     * perform, across its whole grid (printed by `gpulat analyze`).
      * Defaults are the conservative direction (unknown footprint,
      * assume stores), which is what every early-unsafe path leaves
      * in place. Forwarded atomics are excluded: their functional
@@ -195,15 +190,6 @@ struct SmParallelVerdict
     unsigned fixpointIterations = 0;
     /** @} */
 };
-
-/**
- * Can two concurrently resident launches race on device memory?
- * True unless both are store-free, or both footprints are known and
- * neither's stores overlap any access of the other. Forwarded
- * atomics never conflict. Symmetric.
- */
-bool launchesMayConflict(const SmParallelVerdict &a,
-                         const SmParallelVerdict &b);
 
 /**
  * Decide whether a launch can tick its SMs concurrently.

@@ -48,7 +48,7 @@ MemPartition::accept(Cycle now, MemRequest req)
     // while the coordinator group drains the request network, and
     // the crossbar's per-source FIFOs + per-destination round-robin
     // make the arrival order schedule-invariant — so the functional
-    // outcome cannot depend on how SMs are grouped into tick jobs.
+    // outcome cannot depend on the tick-jobs value.
     if (req.forwardAtomic && req.isAtomic && dmem_) {
         const std::uint64_t old = dmem_->read64(req.atomAddr);
         std::uint64_t next = 0;

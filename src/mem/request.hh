@@ -60,7 +60,6 @@ struct MemRequest
      * owning MemPartition::accept() — which runs under the
      * coordinator barrier, so the RMW order is the crossbar's
      * schedule-invariant arrival order — instead of at SM issue.
-     * This is what lets kernels with atomics tick SM-parallel.
      * The partition fills @p atomResult with the pre-RMW value; the
      * SM writes it to the destination register lane on response.
      * @{

@@ -16,8 +16,7 @@ constexpr double kCoef = 0.5;
 /**
  * Compute-stream-style kernel: y[i] = fma-chain(x[i]). Affine
  * addressing end to end, so analyzeSmParallelSafety() proves it
- * SM-parallel and derives a whole-grid footprint for cross-launch
- * conflict composition.
+ * SM-parallel and derives a whole-grid footprint.
  */
 Kernel
 buildServeKernel(const std::string &name, unsigned fma_depth)
@@ -188,8 +187,8 @@ ServingSession::verify() const
         // Shape j serves arrivals j, j+buffers, ...; with every
         // arrival served by run()'s drain condition, buffer j was
         // written iff j < min(buffers, launches). Writes are
-        // idempotent (same input, same chain), so repeated or
-        // serialized-vs-parallel service leaves identical bytes.
+        // idempotent (same input, same chain), so repeated
+        // service leaves identical bytes.
         const unsigned used = std::min(
             spec.buffers, spec.traffic.launches);
         std::vector<double> y(spec.n);

@@ -4,12 +4,11 @@
  * "inference serving" scenario driving one Gpu with an arrival
  * stream of kernel launches. Each tenant owns a private input
  * buffer and a small rotation of output buffers; its launches are
- * compute-stream-style FMA kernels (affine addressing, so the
- * launch-time safety analysis can prove concurrent launches with
- * disjoint footprints SM-parallel). The ServingSession wires a
- * LaunchQueueScheduler into the Gpu's core clock domain, runs the
- * engine until every arrival is served and the device drains, and
- * verifies every touched output buffer against a CPU reference.
+ * compute-stream-style FMA kernels (affine addressing). The
+ * ServingSession wires a LaunchQueueScheduler into the Gpu's core
+ * clock domain, runs the engine until every arrival is served and
+ * the device drains, and verifies every touched output buffer
+ * against a CPU reference.
  *
  * Registry workloads (`serve.*`, all on-demand rather than
  * bench-suite):

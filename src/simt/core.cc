@@ -49,10 +49,6 @@ SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
 {
     GPULAT_ASSERT(dmem_ && stats_, "SM needs memory and stats");
     GPULAT_ASSERT(params_.numSchedulers > 0, "SM needs a scheduler");
-    if (latCollector_)
-        latShard_ = &latCollector_->shard(params_.smId);
-    if (expCollector_)
-        expShard_ = &expCollector_->shard(params_.smId);
 
     warps_.resize(params_.warpSlots);
     blocks_.resize(params_.maxBlocksPerSm);
@@ -250,12 +246,11 @@ SmCore::completeLoadTxn(LoadToken token, Cycle now)
 
     warps_[load.warpSlot].clearRegPending(load.destReg);
     loadsCompleted_->inc();
-    if (expShard_) {
+    if (expCollector_) {
         const Cycle total = now - load.issueCycle;
         const Cycle exposed =
             static_cast<Cycle>(idleCum_ - load.idleAtIssue);
-        expShard_->record(tagCycle_, tagPhase_, total,
-                          std::min(exposed, total));
+        expCollector_->record(total, std::min(exposed, total));
     }
     load.valid = false;
     freeTokens_.push_back(token);
@@ -549,35 +544,12 @@ SmCore::execGlobalMem(Warp &warp, const Instruction &inst,
         addrs[lane] = addr;
     }
 
-    // Functional access happens at issue. Atomics RMW in lane
-    // order, which serializes intra-warp conflicts exactly like the
-    // hardware's ROP units do.
+    // Functional loads and stores happen at issue; atomics RMW at
+    // the owning partition (see below).
     if (inst.isLoad()) {
         for (unsigned lane = 0; lane < kWarpSize; ++lane) {
             if (guard >> lane & 1)
                 warp.setReg(lane, inst.dst, dmem_->read64(addrs[lane]));
-        }
-    } else if (inst.isAtomic() && !ctx_->forwardAtomics) {
-        for (unsigned lane = 0; lane < kWarpSize; ++lane) {
-            if (!(guard >> lane & 1))
-                continue;
-            const RegValue old = dmem_->read64(addrs[lane]);
-            const RegValue arg = warp.reg(lane, inst.srcB);
-            RegValue next = 0;
-            switch (inst.atomOp) {
-              case AtomOp::Add:
-                next = old + arg;
-                break;
-              case AtomOp::Max:
-                next = static_cast<RegValue>(
-                    std::max(asInt(old), asInt(arg)));
-                break;
-              case AtomOp::Exch:
-                next = arg;
-                break;
-            }
-            dmem_->write64(addrs[lane], next);
-            warp.setReg(lane, inst.dst, old);
         }
     } else if (inst.isAtomic()) {
         // Forwarded: the partition performs the RMW at accept() and
@@ -712,8 +684,8 @@ SmCore::tickWriteback(Cycle now)
         HitDone done = hitWheel_.begin()->second;
         hitWheel_.erase(hitWheel_.begin());
         done.trace.complete = at;
-        if (latShard_ && latCollector_->enabled())
-            latShard_->record(now, tagPhase_, done.trace);
+        if (latCollector_ && latCollector_->enabled())
+            latCollector_->record(done.trace);
         completeLoadTxn(done.token, at);
     }
 }
@@ -759,7 +731,7 @@ SmCore::tickLsu(Cycle now)
         req.token = op.token;
         req.trace.issue = op.issueCycle;
         req.trace.l1Access = now;
-        if (op.isAtomic && ctx_->forwardAtomics) {
+        if (op.isAtomic) {
             const AtomLane &al = op.atomLanes[op.nextTxn];
             req.forwardAtomic = true;
             req.atomAddr = al.addr;
@@ -834,10 +806,6 @@ SmCore::tickIssue(Cycle now)
 void
 SmCore::tick(Cycle now)
 {
-    // Records appended from inside the tick merge after this
-    // cycle's port deliveries (phase 0), in SM order.
-    tagCycle_ = now;
-    tagPhase_ = 1;
     tickWriteback(now);
     tickInject(now);
     tickLsu(now);
@@ -961,15 +929,10 @@ SmCore::occupancySummary() const
 void
 SmCore::acceptResponse(Cycle now, MemRequest req)
 {
-    // Phase 0: the return port ticks (and delivers) before every
-    // SM's own tick within a cycle, in ascending smId order — the
-    // merge tag reproduces exactly that interleaving.
-    tagCycle_ = now;
-    tagPhase_ = 0;
     wokeSinceTick_ = true;
     req.trace.complete = now;
-    if (latShard_ && latCollector_->enabled() && !req.isWrite)
-        latShard_->record(now, tagPhase_, req.trace);
+    if (latCollector_ && latCollector_->enabled() && !req.isWrite)
+        latCollector_->record(req.trace);
 
     if (l1Caches(req.space) && !req.isAtomic) {
         // Allocate-on-fill; L1 is write-through so victims are
@@ -980,8 +943,7 @@ SmCore::acceptResponse(Cycle now, MemRequest req)
     } else {
         if (req.forwardAtomic && req.token != kNoToken) {
             // Deliver the pre-RMW value the partition captured to
-            // the issuing lane (acceptResponse runs in phase 0,
-            // before any SM group ticks this cycle).
+            // the issuing lane.
             const InflightLoad &load =
                 inflight_[static_cast<std::size_t>(req.token)];
             if (load.valid)

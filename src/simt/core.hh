@@ -82,14 +82,6 @@ struct LaunchContext
     Addr localBase = 0;
     std::uint64_t totalThreads = 0;
     std::uint64_t localBytesPerThread = 0;
-    /**
-     * Forward atomic RMWs to the owning partition's accept() hook
-     * instead of executing them functionally at issue. Set by the
-     * Gpu launch paths (it is what lets atomics tick SM-parallel);
-     * defaults off so directly-driven SmCore tests keep the
-     * issue-time semantics.
-     */
-    bool forwardAtomics = false;
 };
 
 class SmCore : public Clocked
@@ -105,10 +97,7 @@ class SmCore : public Clocked
      * @param partition_of line address -> partition index.
      *
      * Request ids are drawn from a per-SM pool (smId in the high
-     * bits, a private sequence below), and trace/exposure records
-     * go to this SM's private collector shards — the SM shares no
-     * mutable collector or counter state with its siblings, so SMs
-     * in different tick groups may tick concurrently.
+     * bits, a private sequence below).
      */
     SmCore(const SmParams &params, DeviceMemory *dmem,
            StatRegistry *stats, LatencyCollector *lat_collector,
@@ -272,21 +261,10 @@ class SmCore : public Clocked
     StatRegistry *stats_;
     LatencyCollector *latCollector_;
     ExposureCollector *expCollector_;
-    /** This SM's private append shards (null iff collector null). */
-    LatencyCollector::Shard *latShard_ = nullptr;
-    ExposureCollector::Shard *expShard_ = nullptr;
     Crossbar<MemRequest> *reqNet_;
     std::function<unsigned(Addr)> partitionOf_;
     /** Next value of this SM's private request-id pool. */
     std::uint64_t reqSeq_ = 0;
-    /** @name Collector merge tag of the current entry point @{
-     * Phase 0: acceptResponse() (the return port ticks before every
-     * SM); phase 1: the SM's own tick. Together with the cycle they
-     * order shard records exactly as a shared collector would see
-     * them under serial ticking. */
-    Cycle tagCycle_ = 0;
-    unsigned tagPhase_ = 1;
-    /** @} */
 
     const LaunchContext *ctx_ = nullptr;
 

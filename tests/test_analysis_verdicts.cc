@@ -5,7 +5,9 @@
  * streams) pins its expected verdict and reason, and the abstract
  * domain's edge cases — negative strides, zero-trip loops, the
  * widening convergence bound, stride-interval join soundness and
- * the checked max-grid footprint math — are exercised directly.
+ * the checked max-grid footprint math — are exercised directly, as
+ * are the straight-line store, atomic, loop and shared/local
+ * verdicts.
  */
 
 #include <array>
@@ -316,6 +318,215 @@ TEST(AnalysisDomain, GridStrideLoopStoresAreSafe)
         b.finalize(), 8, 64, makeParams({0x20000, 4096}));
     EXPECT_TRUE(v.safe) << v.reason;
     EXPECT_GE(v.loopHeads, 1u);
+}
+
+// ------------------------------------------- straight-line verdicts
+
+/** The vecadd idiom: guarded c[i] = a[i] + b[i] over disjoint
+ *  arrays, gtid = ctaid * ntid + tid. */
+Kernel
+streamKernel(bool alias_output_with_input)
+{
+    KernelBuilder b("stream");
+    b.s2r(0, SpecialReg::Tid)
+        .s2r(1, SpecialReg::Ctaid)
+        .s2r(2, SpecialReg::Ntid)
+        .imad(0, 1, 2, 0)
+        .movParam(3, 3)
+        .setp(CmpOp::GE, 0, 0, 3)
+        .pred(0)
+        .bra("done")
+        .aluImm(Opcode::SHL, 4, 0, 3)
+        .movParam(5, 0)
+        .alu(Opcode::IADD, 5, 5, 4)
+        .ld(MemSpace::Global, 6, 5)
+        .movParam(7, 1)
+        .alu(Opcode::IADD, 7, 7, 4)
+        .ld(MemSpace::Global, 8, 7)
+        .alu(Opcode::FADD, 9, 6, 8)
+        .movParam(10, alias_output_with_input ? 0 : 2)
+        .alu(Opcode::IADD, 10, 10, 4)
+        .st(MemSpace::Global, 10, 9)
+        .label("done")
+        .exit();
+    return b.finalize();
+}
+
+TEST(SmParallelSafety, StreamingStoresAreSafe)
+{
+    // a at 0x1000, b at 0x41000, c at 0x81000, n = 8192: affine,
+    // block stride 8 * ntid, disjoint arrays -> parallel-safe.
+    const auto params =
+        makeParams({0x1000, 0x41000, 0x81000, 8192});
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        streamKernel(false), 32, 256, params);
+    EXPECT_TRUE(v.safe) << v.reason;
+}
+
+TEST(SmParallelSafety, InPlaceUpdateIsSafe)
+{
+    // a[i] = a[i] + b[i]: the store and the aliasing load have the
+    // identical affine form, so every thread touches only its own
+    // element — still cross-block disjoint.
+    const auto params = makeParams({0x1000, 0x41000, 0, 8192});
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        streamKernel(true), 32, 256, params);
+    EXPECT_TRUE(v.safe) << v.reason;
+}
+
+TEST(SmParallelSafety, SingleBlockIsAlwaysSafe)
+{
+    // One block lives on one SM; nothing can race across SMs, even
+    // with an atomic in the kernel.
+    KernelBuilder b("atom1");
+    b.movParam(0, 0).movImm(1, 1)
+        .atom(AtomOp::Add, 2, 0, 1).exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 1, 256, makeParams({0x1000}));
+    EXPECT_TRUE(v.safe) << v.reason;
+}
+
+TEST(SmParallelSafety, AtomicsArePartitionForwardedAndSafe)
+{
+    // Atomics no longer serialize: their functional RMW is forwarded
+    // to the owning partition's accept hook, which runs under the
+    // coordinator barrier in schedule-invariant arrival order.
+    KernelBuilder b("atom");
+    b.movParam(0, 0).movImm(1, 1)
+        .atom(AtomOp::Add, 2, 0, 1).exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 256, makeParams({0x1000}));
+    EXPECT_TRUE(v.safe) << v.reason;
+    EXPECT_TRUE(v.atomicsForwarded);
+    EXPECT_FALSE(v.hasStore); // atomics are not plain stores
+}
+
+TEST(SmParallelSafety, StoreFreeLoopIsSafe)
+{
+    // A pointer-chase style loop. The fixpoint walks the backward
+    // edge instead of bailing on it; with no stores the launch is
+    // safe no matter what the loop-carried addresses do.
+    KernelBuilder b("loop");
+    b.movParam(0, 0)
+        .movImm(1, 8)
+        .label("again")
+        .ld(MemSpace::Global, 0, 0)
+        .aluImm(Opcode::ISUB, 1, 1, 1)
+        .setpImm(CmpOp::GT, 0, 1, 0)
+        .pred(0)
+        .bra("again")
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    EXPECT_TRUE(v.safe) << v.reason;
+    EXPECT_FALSE(v.hasStore);
+    EXPECT_GE(v.loopHeads, 1u);
+}
+
+TEST(SmParallelSafety, LoopCarriedStoreSerializes)
+{
+    // Same loop shape, but now it stores through the loop-carried
+    // pointer: the domain cannot bound it, so the launch serializes.
+    KernelBuilder b("loopst");
+    b.movParam(0, 0)
+        .movImm(1, 8)
+        .label("again")
+        .ld(MemSpace::Global, 0, 0)
+        .st(MemSpace::Global, 0, 1)
+        .aluImm(Opcode::ISUB, 1, 1, 1)
+        .setpImm(CmpOp::GT, 0, 1, 0)
+        .pred(0)
+        .bra("again")
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    EXPECT_FALSE(v.safe);
+    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
+}
+
+TEST(SmParallelSafety, StoreFreeKernelIsSafe)
+{
+    // Data-dependent loads (a pointer chase) are fine without
+    // stores: reads of immutable memory commute.
+    KernelBuilder b("chase");
+    b.movParam(0, 0)
+        .ld(MemSpace::Global, 0, 0)
+        .ld(MemSpace::Global, 0, 0)
+        .ld(MemSpace::Global, 0, 0)
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    EXPECT_TRUE(v.safe) << v.reason;
+}
+
+TEST(SmParallelSafety, DataDependentStoreSerializes)
+{
+    // Store address loaded from memory: not affine.
+    KernelBuilder b("scatter");
+    b.movParam(0, 0)
+        .ld(MemSpace::Global, 1, 0)
+        .movImm(2, 7)
+        .st(MemSpace::Global, 1, 2)
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    EXPECT_FALSE(v.safe);
+    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
+}
+
+TEST(SmParallelSafety, BlockSharedStoreTargetSerializes)
+{
+    // Every thread of every block stores to the same flag word:
+    // affine but not injective across blocks.
+    KernelBuilder b("flag");
+    b.movParam(0, 0).movImm(1, 1)
+        .st(MemSpace::Global, 0, 1).exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    EXPECT_FALSE(v.safe);
+    EXPECT_NE(v.reason.find("overlap"), std::string::npos);
+}
+
+TEST(SmParallelSafety, StoreAfterReconvergenceSerializes)
+{
+    // The store sits at/after the branch target, where register
+    // state depends on which lanes took the branch.
+    KernelBuilder b("join");
+    b.s2r(0, SpecialReg::Tid)
+        .movParam(1, 0)
+        .setpImm(CmpOp::GE, 0, 0, 16)
+        .pred(0)
+        .bra("join")
+        .aluImm(Opcode::SHL, 2, 0, 3)
+        .alu(Opcode::IADD, 1, 1, 2)
+        .label("join")
+        .st(MemSpace::Global, 1, 0)
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({0x1000}));
+    // Lane 0 of every block stores to params[0]: a genuine
+    // cross-block race, surfaced as a non-affine store (the join of
+    // the two paths' register states is unbounded).
+    EXPECT_FALSE(v.safe);
+    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
+}
+
+TEST(SmParallelSafety, SharedAndLocalAccessesStaySafe)
+{
+    // Shared memory is per-SM, local memory per-thread: neither
+    // constrains cross-SM ticking, even with data-dependent
+    // addressing.
+    KernelBuilder b("smem");
+    b.shared(1024)
+        .s2r(0, SpecialReg::Tid)
+        .aluImm(Opcode::SHL, 1, 0, 3)
+        .st(MemSpace::Shared, 1, 0)
+        .ld(MemSpace::Shared, 2, 1)
+        .st(MemSpace::Local, 1, 2)
+        .exit();
+    const SmParallelVerdict v = analyzeSmParallelSafety(
+        b.finalize(), 8, 32, makeParams({}));
+    EXPECT_TRUE(v.safe) << v.reason;
 }
 
 } // namespace

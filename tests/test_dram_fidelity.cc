@@ -2,7 +2,7 @@
  * @file
  * Whole-GPU tests for the memory-fidelity axes: the ddr DRAM model
  * must be deterministic across engine execution knobs (fast-forward
- * modes, tick jobs, SM grouping), the default simple model must be
+ * modes, tick jobs), the default simple model must be
  * unaffected by the new knobs' defaults, and the new counters must
  * actually move under load.
  */
@@ -77,18 +77,15 @@ TEST(DramFidelity, DdrIdenticalAcrossFastForwardModes)
     expectSameOutcome(recs[0], recs[2], "off vs perDomain");
 }
 
-TEST(DramFidelity, DdrIdenticalAcrossTickJobsAndGrouping)
+TEST(DramFidelity, DdrIdenticalAcrossTickJobs)
 {
     std::vector<ExperimentRecord> recs;
-    for (const char *knob :
-         {"engine.tickJobs=1", "engine.tickJobs=4",
-          "engine.smGroupSize=1"}) {
+    for (const char *knob : {"engine.tickJobs=1", "engine.tickJobs=4"}) {
         auto ov = ddrOverrides();
         ov.push_back(knob);
         recs.push_back(runExperiment(baseSpec(std::move(ov))));
     }
     expectSameOutcome(recs[0], recs[1], "tickJobs 1 vs 4");
-    expectSameOutcome(recs[0], recs[2], "fused vs per-SM groups");
 }
 
 TEST(DramFidelity, SimpleModelUntouchedByNewKnobDefaults)

@@ -1,14 +1,12 @@
 /**
  * @file
- * Per-SM tick groups: the launch-time SM-parallel kernel safety
- * analysis, the sharded collectors' deterministic merge, byte
- * identity of experiment output across tick-jobs values and SM
- * groupings, the per-SM request-id pools behind the launch
- * activity signature, and the engine's work-stealing worker pool
- * under deliberately uneven group sizes.
+ * Intra-simulation tick parallelism with SM cores on the
+ * coordinator: byte identity of experiment output across tick-jobs
+ * values, the per-SM request-id pools behind the launch activity
+ * signature, and the engine's work-stealing worker pool under
+ * deliberately uneven group sizes.
  */
 
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,290 +17,10 @@
 #include "api/stat_sink.hh"
 #include "engine/tick_engine.hh"
 #include "gpu/gpu.hh"
-#include "gpu/kernel_analysis.hh"
 #include "isa/kernel.hh"
-#include "latency/collector.hh"
 
 namespace gpulat {
 namespace {
-
-// ------------------------------------------ kernel safety analysis
-
-std::array<RegValue, kMaxParams>
-makeParams(std::initializer_list<RegValue> vals)
-{
-    std::array<RegValue, kMaxParams> params{};
-    std::size_t i = 0;
-    for (RegValue v : vals)
-        params[i++] = v;
-    return params;
-}
-
-/** The vecadd idiom: guarded c[i] = a[i] + b[i] over disjoint
- *  arrays, gtid = ctaid * ntid + tid. */
-Kernel
-streamKernel(bool alias_output_with_input)
-{
-    KernelBuilder b("stream");
-    b.s2r(0, SpecialReg::Tid)
-        .s2r(1, SpecialReg::Ctaid)
-        .s2r(2, SpecialReg::Ntid)
-        .imad(0, 1, 2, 0)
-        .movParam(3, 3)
-        .setp(CmpOp::GE, 0, 0, 3)
-        .pred(0)
-        .bra("done")
-        .aluImm(Opcode::SHL, 4, 0, 3)
-        .movParam(5, 0)
-        .alu(Opcode::IADD, 5, 5, 4)
-        .ld(MemSpace::Global, 6, 5)
-        .movParam(7, 1)
-        .alu(Opcode::IADD, 7, 7, 4)
-        .ld(MemSpace::Global, 8, 7)
-        .alu(Opcode::FADD, 9, 6, 8)
-        .movParam(10, alias_output_with_input ? 0 : 2)
-        .alu(Opcode::IADD, 10, 10, 4)
-        .st(MemSpace::Global, 10, 9)
-        .label("done")
-        .exit();
-    return b.finalize();
-}
-
-TEST(SmParallelSafety, StreamingStoresAreSafe)
-{
-    // a at 0x1000, b at 0x41000, c at 0x81000, n = 8192: affine,
-    // block stride 8 * ntid, disjoint arrays -> parallel-safe.
-    const auto params =
-        makeParams({0x1000, 0x41000, 0x81000, 8192});
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        streamKernel(false), 32, 256, params);
-    EXPECT_TRUE(v.safe) << v.reason;
-}
-
-TEST(SmParallelSafety, InPlaceUpdateIsSafe)
-{
-    // a[i] = a[i] + b[i]: the store and the aliasing load have the
-    // identical affine form, so every thread touches only its own
-    // element — still cross-block disjoint.
-    const auto params = makeParams({0x1000, 0x41000, 0, 8192});
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        streamKernel(true), 32, 256, params);
-    EXPECT_TRUE(v.safe) << v.reason;
-}
-
-TEST(SmParallelSafety, SingleBlockIsAlwaysSafe)
-{
-    // One block lives on one SM; nothing can race across SMs, even
-    // with an atomic in the kernel.
-    KernelBuilder b("atom1");
-    b.movParam(0, 0).movImm(1, 1)
-        .atom(AtomOp::Add, 2, 0, 1).exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 1, 256, makeParams({0x1000}));
-    EXPECT_TRUE(v.safe) << v.reason;
-}
-
-TEST(SmParallelSafety, AtomicsArePartitionForwardedAndSafe)
-{
-    // Atomics no longer serialize: their functional RMW is forwarded
-    // to the owning partition's accept hook, which runs under the
-    // coordinator barrier in schedule-invariant arrival order.
-    KernelBuilder b("atom");
-    b.movParam(0, 0).movImm(1, 1)
-        .atom(AtomOp::Add, 2, 0, 1).exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 256, makeParams({0x1000}));
-    EXPECT_TRUE(v.safe) << v.reason;
-    EXPECT_TRUE(v.atomicsForwarded);
-    EXPECT_FALSE(v.hasStore); // atomics are not plain stores
-}
-
-TEST(SmParallelSafety, StoreFreeLoopIsSafe)
-{
-    // A pointer-chase style loop. The fixpoint walks the backward
-    // edge instead of bailing on it; with no stores the launch is
-    // safe no matter what the loop-carried addresses do.
-    KernelBuilder b("loop");
-    b.movParam(0, 0)
-        .movImm(1, 8)
-        .label("again")
-        .ld(MemSpace::Global, 0, 0)
-        .aluImm(Opcode::ISUB, 1, 1, 1)
-        .setpImm(CmpOp::GT, 0, 1, 0)
-        .pred(0)
-        .bra("again")
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    EXPECT_TRUE(v.safe) << v.reason;
-    EXPECT_FALSE(v.hasStore);
-    EXPECT_GE(v.loopHeads, 1u);
-}
-
-TEST(SmParallelSafety, LoopCarriedStoreSerializes)
-{
-    // Same loop shape, but now it stores through the loop-carried
-    // pointer: the domain cannot bound it, so the launch serializes.
-    KernelBuilder b("loopst");
-    b.movParam(0, 0)
-        .movImm(1, 8)
-        .label("again")
-        .ld(MemSpace::Global, 0, 0)
-        .st(MemSpace::Global, 0, 1)
-        .aluImm(Opcode::ISUB, 1, 1, 1)
-        .setpImm(CmpOp::GT, 0, 1, 0)
-        .pred(0)
-        .bra("again")
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    EXPECT_FALSE(v.safe);
-    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
-}
-
-TEST(SmParallelSafety, StoreFreeKernelIsSafe)
-{
-    // Data-dependent loads (a pointer chase) are fine without
-    // stores: reads of immutable memory commute.
-    KernelBuilder b("chase");
-    b.movParam(0, 0)
-        .ld(MemSpace::Global, 0, 0)
-        .ld(MemSpace::Global, 0, 0)
-        .ld(MemSpace::Global, 0, 0)
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    EXPECT_TRUE(v.safe) << v.reason;
-}
-
-TEST(SmParallelSafety, DataDependentStoreSerializes)
-{
-    // Store address loaded from memory: not affine.
-    KernelBuilder b("scatter");
-    b.movParam(0, 0)
-        .ld(MemSpace::Global, 1, 0)
-        .movImm(2, 7)
-        .st(MemSpace::Global, 1, 2)
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    EXPECT_FALSE(v.safe);
-    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
-}
-
-TEST(SmParallelSafety, BlockSharedStoreTargetSerializes)
-{
-    // Every thread of every block stores to the same flag word:
-    // affine but not injective across blocks.
-    KernelBuilder b("flag");
-    b.movParam(0, 0).movImm(1, 1)
-        .st(MemSpace::Global, 0, 1).exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    EXPECT_FALSE(v.safe);
-    EXPECT_NE(v.reason.find("overlap"), std::string::npos);
-}
-
-TEST(SmParallelSafety, StoreAfterReconvergenceSerializes)
-{
-    // The store sits at/after the branch target, where register
-    // state depends on which lanes took the branch.
-    KernelBuilder b("join");
-    b.s2r(0, SpecialReg::Tid)
-        .movParam(1, 0)
-        .setpImm(CmpOp::GE, 0, 0, 16)
-        .pred(0)
-        .bra("join")
-        .aluImm(Opcode::SHL, 2, 0, 3)
-        .alu(Opcode::IADD, 1, 1, 2)
-        .label("join")
-        .st(MemSpace::Global, 1, 0)
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({0x1000}));
-    // Lane 0 of every block stores to params[0]: a genuine
-    // cross-block race, surfaced as a non-affine store (the join of
-    // the two paths' register states is unbounded).
-    EXPECT_FALSE(v.safe);
-    EXPECT_NE(v.reason.find("non-affine"), std::string::npos);
-}
-
-TEST(SmParallelSafety, SharedAndLocalAccessesStaySafe)
-{
-    // Shared memory is per-SM, local memory per-thread: neither
-    // constrains cross-SM ticking, even with data-dependent
-    // addressing.
-    KernelBuilder b("smem");
-    b.shared(1024)
-        .s2r(0, SpecialReg::Tid)
-        .aluImm(Opcode::SHL, 1, 0, 3)
-        .st(MemSpace::Shared, 1, 0)
-        .ld(MemSpace::Shared, 2, 1)
-        .st(MemSpace::Local, 1, 2)
-        .exit();
-    const SmParallelVerdict v = analyzeSmParallelSafety(
-        b.finalize(), 8, 32, makeParams({}));
-    EXPECT_TRUE(v.safe) << v.reason;
-}
-
-// ------------------------------------------- collector shard merge
-
-LatencyTrace
-traceStamp(Cycle issue)
-{
-    LatencyTrace t;
-    t.issue = issue;
-    t.complete = issue + 100;
-    return t;
-}
-
-TEST(ShardedCollectors, MergeReproducesSerialAppendOrder)
-{
-    // Serial shared-collector order within one core cycle: all
-    // phase-0 records (return-port deliveries) in ascending smId
-    // order, then all phase-1 records (SM ticks) in ascending smId
-    // order; FIFO within a shard. The merged view must interleave
-    // the shards exactly that way regardless of wall-clock append
-    // interleaving (here: shard 1 fully appended before shard 0).
-    LatencyCollector col;
-    col.resize(2);
-    col.shard(1).record(5, 0, traceStamp(10)); // cycle 5, delivery
-    col.shard(1).record(5, 1, traceStamp(11)); // cycle 5, own tick
-    col.shard(1).record(7, 1, traceStamp(12));
-    col.shard(0).record(5, 1, traceStamp(20));
-    col.shard(0).record(6, 0, traceStamp(21));
-    col.shard(0).record(7, 1, traceStamp(22));
-
-    const auto &traces = col.traces();
-    ASSERT_EQ(traces.size(), 6u);
-    const std::vector<Cycle> expect{10, 20, 11, 21, 22, 12};
-    for (std::size_t i = 0; i < expect.size(); ++i)
-        EXPECT_EQ(traces[i].issue, expect[i]) << i;
-
-    // The merged view refreshes after further appends...
-    col.shard(0).record(8, 1, traceStamp(23));
-    EXPECT_EQ(col.traces().size(), 7u);
-    EXPECT_EQ(col.traces().back().issue, 23u);
-
-    // ...and clear() drops shards and view together.
-    col.clear();
-    EXPECT_EQ(col.count(), 0u);
-    EXPECT_TRUE(col.traces().empty());
-}
-
-TEST(ShardedCollectors, ExposureMergesLikewise)
-{
-    ExposureCollector col;
-    col.resize(3);
-    col.shard(2).record(4, 1, 40, 4);
-    col.shard(0).record(4, 1, 10, 1);
-    col.shard(1).record(3, 1, 30, 3);
-    const auto &recs = col.records();
-    ASSERT_EQ(recs.size(), 3u);
-    EXPECT_EQ(recs[0].total, 30u);
-    EXPECT_EQ(recs[1].total, 10u);
-    EXPECT_EQ(recs[2].total, 40u);
-}
 
 // ------------------------------- record identity across schedules
 
@@ -329,11 +47,11 @@ runWith(const std::string &workload,
     return runExperiment(spec);
 }
 
-TEST(SmGroupDeterminism, ComputeHeavyOutputIsByteIdentical)
+TEST(TickJobsDeterminism, ComputeHeavyOutputIsByteIdentical)
 {
-    // The ISSUE-6 gate, in-process: a compute-heavy, SM-parallel
-    // workload must produce byte-identical records at tick-jobs 1
-    // and 8 (warp-scheduler stress via high warp occupancy).
+    // A compute-heavy workload must produce byte-identical records
+    // at tick-jobs 1 and 8 (warp-scheduler stress via high warp
+    // occupancy).
     const std::vector<std::string> params{"n=32768", "fmaDepth=48"};
     const auto a = runWith("compute_stream", params,
                            {"sm.warpSlots=48"});
@@ -344,7 +62,7 @@ TEST(SmGroupDeterminism, ComputeHeavyOutputIsByteIdentical)
     EXPECT_GT(a.cycles, 0u);
 }
 
-TEST(SmGroupDeterminism, NonUnityClockRatiosStayByteIdentical)
+TEST(TickJobsDeterminism, NonUnityClockRatiosStayByteIdentical)
 {
     const std::vector<std::string> ratios{"dramClock=1/2",
                                           "icntClock=2/3",
@@ -356,47 +74,17 @@ TEST(SmGroupDeterminism, NonUnityClockRatiosStayByteIdentical)
     EXPECT_EQ(renderRecord(a), renderRecord(b));
 }
 
-TEST(SmGroupDeterminism, GroupingChangesOnlyGroupCounterNames)
-{
-    // smGroupSize reshapes the tick groups (and therefore the
-    // engine.group.* counter names) but may not move a single
-    // simulated cycle or trace-derived value.
-    std::vector<ExperimentRecord> recs;
-    for (const char *gs : {"0", "1", "2"})
-        recs.push_back(runWith(
-            "vecadd", {"n=16384"},
-            {std::string("engine.smGroupSize=") + gs,
-             "engine.tickJobs=8"}));
-    auto nonGroup = [](const ExperimentRecord &rec) {
-        std::map<std::string, std::uint64_t> filtered;
-        for (const auto &[key, value] : rec.counters)
-            if (key.rfind("engine.group.", 0) != 0)
-                filtered.emplace(key, value);
-        return filtered;
-    };
-    for (std::size_t i = 1; i < recs.size(); ++i) {
-        EXPECT_EQ(recs[i].cycles, recs[0].cycles) << i;
-        EXPECT_EQ(nonGroup(recs[i]), nonGroup(recs[0])) << i;
-    }
-    // The fused shape reports the legacy single group name.
-    EXPECT_GT(recs[0].counters.at("engine.group.sm.ticks_run"), 0u);
-    EXPECT_GT(recs[1].counters.at("engine.group.sm0.ticks_run"), 0u);
-    EXPECT_GT(recs[2].counters.at("engine.group.sm1.ticks_run"), 0u);
-}
-
 // --------------------------------------- per-SM request-id pools
 
-TEST(RequestIdPools, SumMatchesAcrossGroupingsAndLaunches)
+TEST(RequestIdPools, SumMatchesAcrossTickJobsAndLaunches)
 {
-    // The watchdog's activity signature now sums the per-SM pools;
-    // the sum must be schedule-independent (it equals the value
-    // the old shared counter would have had) and must keep growing
-    // across launches so the signature keeps moving.
-    auto runOnce = [](std::size_t group_size, std::size_t jobs) {
+    // The watchdog's activity signature sums the per-SM pools; the
+    // sum must be schedule-independent and must keep growing across
+    // launches so the signature keeps moving.
+    auto runOnce = [](std::size_t jobs) {
         GpuConfig cfg = makeConfig("gf106");
         cfg.numSms = 4;
         cfg.deviceMemBytes = 32 * 1024 * 1024;
-        cfg.engine.smGroupSize = group_size;
         cfg.engine.tickJobs = jobs;
         Gpu gpu(cfg);
 
@@ -429,10 +117,7 @@ TEST(RequestIdPools, SumMatchesAcrossGroupingsAndLaunches)
         return totals;
     };
 
-    const auto baseline = runOnce(0, 1);
-    EXPECT_EQ(runOnce(1, 1), baseline);
-    EXPECT_EQ(runOnce(1, 8), baseline);
-    EXPECT_EQ(runOnce(2, 8), baseline);
+    EXPECT_EQ(runOnce(8), runOnce(1));
 }
 
 // --------------------------------- work stealing on uneven groups
@@ -447,10 +132,10 @@ struct PrivateLogComponent : Clocked
 
 TEST(WorkStealing, UnevenGroupsMatchSerialTicking)
 {
-    // Many groups of very different sizes: the shared-cursor pool
-    // claims guided chunks, so fast workers steal the tail batches
-    // from slow ones. Logs and per-group tick counters must still
-    // match the serial schedule exactly.
+    // Many groups of very different sizes: workers claim batches
+    // one at a time from the shared cursor, so fast workers steal
+    // the tail batches from slow ones. Logs and per-group tick
+    // counters must still match the serial schedule exactly.
     constexpr unsigned kGroups = 24;
     auto run = [](std::size_t tick_jobs) {
         TickEngine engine;
@@ -488,76 +173,6 @@ TEST(WorkStealing, UnevenGroupsMatchSerialTicking)
         EXPECT_EQ(serial.first, parallel.first) << jobs;
         EXPECT_EQ(serial.second, parallel.second) << jobs;
     }
-}
-
-/** Appends to a log shared with other components: only safe when
- *  the engine serializes every appender on one thread. */
-struct SharedLogComponent : Clocked
-{
-    SharedLogComponent(int n, std::vector<int> *l) : id(n), log(l) {}
-    void tick(Cycle) override { log->push_back(id); }
-    Cycle nextEventAt(Cycle now) const override { return now; }
-    int id;
-    std::vector<int> *log;
-};
-
-TEST(WorkStealing, SetSerializedPinsGroupsToCoordinator)
-{
-    // Two groups whose components secretly share a log: unsafe to
-    // run on the pool, so a launch-time setSerialized() must pin
-    // them to the coordinator (registration order), while the
-    // declared-group tick counters keep counting as if nothing
-    // happened. A third, private group stays parallel.
-    TickEngine engine;
-    engine.setMode(IdleFastForward::PerDomain);
-    engine.setTickJobs(4);
-    ClockDomain &core = engine.addDomain("core", ClockRatio{1, 1});
-    const unsigned g1 = engine.addGroup("g1");
-    const unsigned g2 = engine.addGroup("g2");
-    const unsigned g3 = engine.addGroup("g3");
-
-    std::vector<int> shared_log;
-    SharedLogComponent a(1, &shared_log);
-    SharedLogComponent b(2, &shared_log);
-    PrivateLogComponent c;
-    engine.add(core, a, g1);
-    engine.add(core, b, g2);
-    engine.add(core, c, g3);
-    engine.setSerialized(a, true);
-    engine.setSerialized(b, true);
-
-    const int cycles = 64;
-    for (int i = 0; i < cycles; ++i)
-        engine.step();
-
-    ASSERT_EQ(shared_log.size(),
-              static_cast<std::size_t>(2 * cycles));
-    for (int i = 0; i < cycles; ++i) {
-        EXPECT_EQ(shared_log[2 * i], 1) << i;
-        EXPECT_EQ(shared_log[2 * i + 1], 2) << i;
-    }
-    EXPECT_EQ(engine.groupTicksRun(g1),
-              static_cast<std::uint64_t>(cycles));
-    EXPECT_EQ(engine.groupTicksRun(g2),
-              static_cast<std::uint64_t>(cycles));
-    EXPECT_EQ(engine.groupTicksRun(g3),
-              static_cast<std::uint64_t>(cycles));
-
-    // Lifting a's pin returns it to the pool; b stays pinned, and
-    // as a coordinator component it is a barrier that flushes a's
-    // batch first — so the shared log must keep its registration
-    // order even though a ticks on a worker again.
-    engine.setSerialized(a, false);
-    for (int i = 0; i < cycles; ++i)
-        engine.step();
-    ASSERT_EQ(shared_log.size(),
-              static_cast<std::size_t>(4 * cycles));
-    for (int i = 0; i < 2 * cycles; ++i) {
-        EXPECT_EQ(shared_log[2 * i], 1) << i;
-        EXPECT_EQ(shared_log[2 * i + 1], 2) << i;
-    }
-    EXPECT_EQ(engine.groupTicksRun(g3),
-              static_cast<std::uint64_t>(2 * cycles));
 }
 
 } // namespace
