@@ -262,7 +262,6 @@ MemPartition::tickMemSide(Cycle now)
         }
 
         // Responses this completion fans out to: primary + merged.
-        std::size_t merged_count = 0;
         const bool tracked =
             params_.l2Enabled && l2Mshr_.pending(head.dramAddr());
         std::size_t needed = 1;
@@ -295,17 +294,23 @@ MemPartition::tickMemSide(Cycle now)
                 for (MemRequest &m : l2Mshr_.release(req.dramAddr())) {
                     if (m.id == req.id)
                         continue; // the primary marker
-                    // Secondaries share the primary's DRAM phase.
-                    m.trace.dramEnq = req.trace.dramEnq;
-                    m.trace.dramSched = req.trace.dramSched;
-                    m.trace.dramData = done;
+                    // Secondaries share the primary's DRAM phase, but
+                    // one that reached the L2 queue after the primary
+                    // was queued or scheduled at DRAM cannot have
+                    // waited there before its own arrival: clamp
+                    // each copied stamp to the one before it, so
+                    // every stage stays >= 0 and the stages still
+                    // sum to the trace's total.
+                    m.trace.dramEnq =
+                        std::max(req.trace.dramEnq, m.trace.l2Enq);
+                    m.trace.dramSched =
+                        std::max(req.trace.dramSched, m.trace.dramEnq);
+                    m.trace.dramData = std::max(done, m.trace.dramSched);
                     m.trace.hitLevel = HitLevel::Dram;
                     respond(now, std::move(m));
-                    ++merged_count;
                 }
             }
         }
-        (void)merged_count;
         respond(now, std::move(req));
     }
 

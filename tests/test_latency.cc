@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/experiment.hh"
 #include "common/log.hh"
+#include "gpu/gpu.hh"
 #include "common/random.hh"
 #include "latency/breakdown.hh"
 #include "latency/exposure.hh"
@@ -126,6 +128,34 @@ TEST(StagesProperty, StageDecompositionAlwaysSumsToTotal)
             sum += v;
         EXPECT_EQ(sum, t.total()) << "trial " << trial;
     }
+}
+
+TEST(StagesProperty, MshrMergedDramTracesStayOrdered)
+{
+    // gemm on gf100-sim merges many L2 misses into one DRAM fetch.
+    // A merged secondary may reach the L2 queue after its primary
+    // was already queued or scheduled at DRAM; its copied DRAM
+    // stamps must still not precede its own L2 entry, or the
+    // L2Q->DRAMQ stage wraps around.
+    ExperimentSpec spec;
+    spec.gpu = "gf100-sim";
+    spec.workload = "gemm";
+    spec.params = {"n=64"};
+    std::size_t checked = 0;
+    runExperiment(spec, [&](Gpu &gpu, const ExperimentRecord &) {
+        for (const LatencyTrace &t : gpu.latencies().traces()) {
+            const auto stages = t.stageCycles();
+            Cycle sum = 0;
+            for (std::size_t s = 0; s < kNumStages; ++s) {
+                ASSERT_LE(stages[s], t.total())
+                    << toString(static_cast<Stage>(s));
+                sum += stages[s];
+            }
+            ASSERT_EQ(sum, t.total());
+            ++checked;
+        }
+    });
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(Breakdown, EmptyInputYieldsEmptyBreakdown)
