@@ -44,12 +44,12 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
 void
 MemPartition::accept(Cycle now, MemRequest req)
 {
-    // Forwarded atomics RMW here, not at SM issue: accept() runs
+    // Atomics RMW here, not at SM issue: accept() runs
     // while the coordinator group drains the request network, and
     // the crossbar's per-source FIFOs + per-destination round-robin
     // make the arrival order schedule-invariant — so the functional
     // outcome cannot depend on the tick-jobs value.
-    if (req.forwardAtomic && req.isAtomic && dmem_) {
+    if (req.isAtomic && dmem_) {
         const std::uint64_t old = dmem_->read64(req.atomAddr);
         std::uint64_t next = 0;
         switch (req.atomOp) {

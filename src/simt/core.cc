@@ -733,7 +733,6 @@ SmCore::tickLsu(Cycle now)
         req.trace.l1Access = now;
         if (op.isAtomic) {
             const AtomLane &al = op.atomLanes[op.nextTxn];
-            req.forwardAtomic = true;
             req.atomAddr = al.addr;
             req.atomArg = al.arg;
             req.atomLane = al.lane;
@@ -941,7 +940,7 @@ SmCore::acceptResponse(Cycle now, MemRequest req)
         for (LoadToken token : l1Mshr_.release(req.lineAddr))
             completeLoadTxn(token, now);
     } else {
-        if (req.forwardAtomic && req.token != kNoToken) {
+        if (req.isAtomic && req.token != kNoToken) {
             // Deliver the pre-RMW value the partition captured to
             // the issuing lane.
             const InflightLoad &load =
