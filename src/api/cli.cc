@@ -1,23 +1,20 @@
 #include "api/cli.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "api/bench.hh"
 #include "api/config_override.hh"
 #include "api/experiment.hh"
 #include "api/parallel_runner.hh"
 #include "api/workload_registry.hh"
 #include "common/log.hh"
-#include "common/table.hh"
-#include "latency/breakdown.hh"
-#include "latency/exposure.hh"
-#include "latency/summary.hh"
 
 namespace gpulat {
 
@@ -38,6 +35,11 @@ usage(std::ostream &err)
            "           each launch verdict, reason chain and\n"
            "           per-access footprints; exits nonzero when any\n"
            "           analysis diverges or any cell crashes\n"
+           "  bench <suite>|--list  run a named experiment suite\n"
+           "           (paper tables/figures, ablations,\n"
+           "           determinism): its cells, gates and\n"
+           "           invariance re-runs; exits nonzero on an\n"
+           "           incorrect record or a failed gate\n"
            "\n"
            "run/sweep options:\n"
            "  --gpu NAME         config preset (default gf100-sim)\n"
@@ -70,6 +72,16 @@ usage(std::ostream &err)
            "  --stats            dump raw per-unit counters per "
            "run\n"
            "\n"
+           "bench options:\n"
+           "  --quick            the suite's smaller cell list "
+           "(correctness and\n"
+           "                     invariance gates only)\n"
+           "  --jobs N           concurrent cells (default 0 = "
+           "hardware concurrency)\n"
+           "  --tick-jobs N      engine.tickJobs=N on every cell\n"
+           "  --json FILE|-      write the gpulat.bench.v1 document\n"
+           "  --csv FILE|-       write CSV records\n"
+           "\n"
            "examples:\n"
            "  gpulat run --gpu gf100sim --workload bfs scale=12\n"
            "  gpulat run --workload vecadd n=4096 "
@@ -77,7 +89,8 @@ usage(std::ostream &err)
            "  gpulat sweep --workload bfs "
            "--set sm.warpSlots=1,2,4,8,16,32,48\n"
            "  gpulat analyze reduction n=65536\n"
-           "  gpulat analyze gemm --set sm.warpSlots=8,16\n";
+           "  gpulat analyze gemm --set sm.warpSlots=8,16\n"
+           "  gpulat bench table1 --json BENCH_table1.json\n";
     return 2;
 }
 
@@ -131,19 +144,6 @@ parseDouble(const std::string &flag, const std::string &text)
     return v;
 }
 
-std::size_t
-parseSize(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || text[0] == '-' || end == text.c_str() ||
-        *end != '\0')
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    return static_cast<std::size_t>(v);
-}
-
 struct CliOptions
 {
     ExperimentSpec spec;
@@ -176,6 +176,9 @@ parseRunArgs(const std::vector<std::string> &args, CliOptions &opts,
             opts.spec.overrides.push_back(next());
         } else if (arg == "--scale") {
             opts.spec.scale = parseDouble(arg, next());
+            if (!(opts.spec.scale > 0.0 && opts.spec.scale <= 1.0))
+                fatal("'--scale' must be in (0,1], got '", args[i],
+                      "'");
         } else if (arg == "--json") {
             opts.jsonOuts.push_back(next());
         } else if (arg == "--csv") {
@@ -185,7 +188,11 @@ parseRunArgs(const std::vector<std::string> &args, CliOptions &opts,
         } else if (arg == "--report") {
             opts.report = next();
         } else if (arg == "--buckets") {
-            opts.buckets = parseSize(arg, next());
+            opts.buckets = parseUnsigned(
+                next(), "'--buckets'",
+                std::numeric_limits<std::size_t>::max(), 10);
+            if (opts.buckets == 0)
+                fatal("'--buckets' must be at least 1");
         } else if (arg == "--jobs") {
             opts.jobs = parseJobs(next());
         } else if (arg == "--tick-jobs") {
@@ -234,23 +241,11 @@ runOrSweep(const CliOptions &opts, bool allow_sweep,
     }
 
     MultiSink sinks;
-    bool stdoutTaken = false;
-    for (const std::string &path : opts.jsonOuts) {
-        if (path == "-") {
-            sinks.add(std::make_unique<JsonSink>(out));
-            stdoutTaken = true;
-        } else {
-            sinks.add(std::make_unique<JsonSink>(path));
-        }
-    }
-    for (const std::string &path : opts.csvOuts) {
-        if (path == "-") {
-            sinks.add(std::make_unique<CsvSink>(out));
-            stdoutTaken = true;
-        } else {
-            sinks.add(std::make_unique<CsvSink>(path));
-        }
-    }
+    addOutputs(sinks, out, opts.jsonOuts, opts.csvOuts);
+    const bool stdoutTaken =
+        std::count(opts.jsonOuts.begin(), opts.jsonOuts.end(), "-") +
+            std::count(opts.csvOuts.begin(), opts.csvOuts.end(), "-") >
+        0;
     // The human-readable table is on by default but must not
     // corrupt machine-readable output already claimed on stdout.
     if (opts.table && !stdoutTaken)
@@ -269,31 +264,10 @@ runOrSweep(const CliOptions &opts, bool allow_sweep,
     std::vector<std::string> reports(runs.size());
     auto inspect = [&](std::size_t index, Gpu &gpu,
                        const ExperimentRecord &rec) {
-        if (!wantsReport)
-            return;
-        std::ostringstream ros;
-        ros << "=== " << rec.gpu << " x " << rec.workload;
-        for (const auto &[k, v] : rec.overrides)
-            ros << " " << k << "=" << v;
-        ros << " ===\n";
-        const bool all = opts.report == "all";
-        if (opts.report == "summary" || all) {
-            computeSummary(gpu.latencies().traces()).print(ros);
-            ros << "\n";
+        if (wantsReport) {
+            reports[index] = renderReport(gpu, rec, opts.report,
+                                          opts.buckets, opts.dumpStats);
         }
-        if (opts.report == "fig1" || all) {
-            computeBreakdown(gpu.latencies().traces(), opts.buckets)
-                .printChart(ros);
-            ros << "\n";
-        }
-        if (opts.report == "fig2" || all) {
-            computeExposure(gpu.exposure().records(), opts.buckets)
-                .printChart(ros);
-            ros << "\n";
-        }
-        if (opts.dumpStats)
-            gpu.stats().dump(ros);
-        reports[index] = ros.str();
     };
 
     bool allCorrect = true;
@@ -465,6 +439,54 @@ runAnalyze(const CliOptions &opts, std::ostream &out,
     return anyUnknown ? 1 : 0;
 }
 
+/** `gpulat bench <suite>|--list [options]`. */
+int
+runBenchCommand(const std::vector<std::string> &args, std::ostream &out,
+                std::ostream &err)
+{
+    const BenchSuite *suite = nullptr;
+    BenchOptions opts;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        auto next = [&]() -> const std::string & {
+            if (i + 1 >= args.size())
+                fatal("option '", arg, "' needs a value");
+            return args[++i];
+        };
+        if (arg == "--list") {
+            for (const BenchSuite &s : benchSuites())
+                out << "  " << s.name << " — " << s.title << "\n";
+            return 0;
+        } else if (arg == "--quick") {
+            opts.quick = true;
+        } else if (arg == "--jobs") {
+            opts.jobs = parseJobs(next());
+        } else if (arg == "--tick-jobs") {
+            opts.tickJobs = parseJobs(next(), "--tick-jobs");
+        } else if (arg == "--json") {
+            opts.jsonOuts.push_back(next());
+        } else if (arg == "--csv") {
+            opts.csvOuts.push_back(next());
+        } else if (arg.rfind("--", 0) == 0 || suite) {
+            err << "unexpected bench argument '" << arg << "'\n";
+            return usage(err);
+        } else {
+            for (const BenchSuite &s : benchSuites())
+                suite = s.name == arg ? &s : suite;
+            if (!suite) {
+                err << "unknown bench suite '" << arg
+                    << "' (see `gpulat bench --list`)\n";
+                return 2;
+            }
+        }
+    }
+    if (!suite) {
+        err << "bench needs a suite (see `gpulat bench --list`)\n";
+        return 2;
+    }
+    return runBench(*suite, opts, out, err);
+}
+
 } // namespace
 
 int
@@ -507,6 +529,8 @@ runCli(int argc, const char *const *argv, std::ostream &out,
                 return usage(err);
             return runAnalyze(opts, out, err);
         }
+        if (command == "bench")
+            return runBenchCommand(args, out, err);
         if (command == "--help" || command == "-h" ||
             command == "help") {
             usage(out);

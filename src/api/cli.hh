@@ -15,6 +15,9 @@
  *                runs up to N cells concurrently (0 = hardware
  *                concurrency) with output byte-identical to
  *                --jobs 1
+ *   gpulat bench <suite>|--list [--quick] [--jobs N]
+ *                [--tick-jobs N] [--json FILE|-] [--csv FILE|-]
+ *                (api/bench.hh)
  */
 
 #ifndef GPULAT_API_CLI_HH

@@ -1,7 +1,6 @@
 #include "api/config_override.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <type_traits>
@@ -22,22 +21,17 @@ parseClockRatio(const std::string &text)
         sep == std::string::npos ? text : text.substr(0, sep);
     const std::string div_s =
         sep == std::string::npos ? "1" : text.substr(sep + 1);
-    // strtoul wraps a leading '-' instead of failing.
-    char *end = nullptr;
-    const unsigned long mul = std::strtoul(mul_s.c_str(), &end, 10);
-    const bool mul_ok = !mul_s.empty() && mul_s[0] != '-' &&
-        end != mul_s.c_str() && *end == '\0';
-    const unsigned long div = std::strtoul(div_s.c_str(), &end, 10);
-    const bool div_ok = !div_s.empty() && div_s[0] != '-' &&
-        end != div_s.c_str() && *end == '\0';
-    if (!mul_ok || !div_ok || mul == 0 || div == 0) {
-        fatal("'", text, "' is not a clock ratio (expected M/D, ",
-              "M:D or M with M,D > 0)");
-    }
+    const std::string what = "clock ratio '" + text +
+        "' (expected M/D, M:D or M with M,D > 0)";
+    const unsigned max = std::numeric_limits<unsigned>::max();
+    const std::uint64_t mul = parseUnsigned(mul_s, what, max, 10);
+    const std::uint64_t div = parseUnsigned(div_s, what, max, 10);
+    if (mul == 0 || div == 0)
+        fatal(what, ": zero term");
     // gcd-normalize: "2/4" means the same frequency as "1/2", so it
     // must format and round-trip identically (and pass the same
     // range validation) — the parsed ratio is canonical.
-    const unsigned long g = std::gcd(mul, div);
+    const std::uint64_t g = std::gcd(mul, div);
     return ClockRatio{static_cast<unsigned>(mul / g),
                       static_cast<unsigned>(div / g)};
 }
@@ -49,18 +43,6 @@ formatClockRatio(ClockRatio ratio)
 }
 
 namespace {
-
-std::uint64_t
-parseU64(const std::string &path, const std::string &text)
-{
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    // strtoull wraps a leading '-' instead of failing.
-    if (text.empty() || text[0] == '-' || end == text.c_str() ||
-        *end != '\0')
-        fatal(path, ": '", text, "' is not a non-negative integer");
-    return v;
-}
 
 template <typename T>
 void
@@ -136,10 +118,8 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else {
         static_assert(std::is_unsigned_v<T>,
                       "unsupported override type");
-        const std::uint64_t v = parseU64(path, text);
-        if (v > std::numeric_limits<T>::max())
-            fatal(path, ": ", v, " out of range");
-        dst = static_cast<T>(v);
+        dst = static_cast<T>(parseUnsigned(
+            text, path, std::numeric_limits<T>::max()));
     }
 }
 

@@ -1,27 +1,21 @@
 #include "api/parallel_runner.hh"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
-#include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <thread>
 
-#include "common/log.hh"
+#include "api/param_map.hh"
 
 namespace gpulat {
 
 std::size_t
 parseJobs(const std::string &text, const char *flag)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal("'", flag, "' needs a non-negative integer, got '",
-              text, "'");
-    return static_cast<std::size_t>(v);
+    return parseUnsigned(text, std::string("'") + flag + "'",
+                         std::numeric_limits<std::size_t>::max(), 10);
 }
 
 std::size_t
@@ -46,6 +40,7 @@ runOne(const ExperimentSpec &spec, std::size_t index,
        const ParallelRunner::Inspect &inspect)
 {
     JobOutcome outcome;
+    const auto t0 = std::chrono::steady_clock::now();
     try {
         auto hook = inspect
             ? std::function<void(Gpu &, const ExperimentRecord &)>(
@@ -58,6 +53,9 @@ runOne(const ExperimentSpec &spec, std::size_t index,
         outcome.failed = true;
         outcome.error = e.what();
     }
+    outcome.wallMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
     return outcome;
 }
 

@@ -31,12 +31,14 @@ struct JobOutcome
     ExperimentRecord record; ///< valid iff !failed
     bool failed = false;     ///< the job threw
     std::string error;       ///< exception text when failed
+    double wallMs = 0.0;     ///< the job's wall-clock time
 };
 
 /**
  * Parse a jobs-count value: a non-negative integer, where 0 means
  * "use the hardware concurrency". fatal() on anything else
- * (negative, fractional, empty, non-numeric, trailing junk),
+ * (negative, fractional, empty, non-numeric, trailing junk,
+ * overflow; see parseUnsigned),
  * naming @p flag — the same syntax serves `--jobs` and
  * `--tick-jobs`, and the error must point at the flag the user
  * actually passed.

@@ -1,10 +1,32 @@
 #include "api/param_map.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.hh"
 
 namespace gpulat {
+
+std::uint64_t
+parseUnsigned(const std::string &text, const std::string &what,
+              std::uint64_t max, int base)
+{
+    // strtoull skips leading space and wraps a leading '-', so the
+    // first character must already be a digit.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = text.empty() ||
+            !std::isdigit(static_cast<unsigned char>(text[0]))
+        ? 0
+        : std::strtoull(text.c_str(), &end, base);
+    if (!end || *end != '\0')
+        fatal(what, ": '", text, "' is not a non-negative integer");
+    if (errno == ERANGE || v > max)
+        fatal(what, ": '", text, "' is out of range (max ", max, ")");
+    return v;
+}
 
 std::pair<std::string, std::string>
 ParamMap::splitAssignment(const std::string &assignment)
@@ -57,22 +79,19 @@ ParamMap::getU64(const std::string &key, std::uint64_t def) const
     if (it == entries_.end())
         return def;
     consumed_.insert(key);
-    const std::string &s = it->second;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 0);
-    // strtoull wraps a leading '-' instead of failing.
-    if (s.empty() || s[0] == '-' || end == s.c_str() ||
-        *end != '\0') {
-        fatal("parameter '", key, "': '", s,
-              "' is not a non-negative integer");
-    }
-    return v;
+    return parseUnsigned(it->second, "parameter '" + key + "'");
 }
 
 unsigned
 ParamMap::getUnsigned(const std::string &key, unsigned def) const
 {
-    return static_cast<unsigned>(getU64(key, def));
+    auto it = entries_.find(key);
+    if (it == entries_.end())
+        return def;
+    consumed_.insert(key);
+    return static_cast<unsigned>(
+        parseUnsigned(it->second, "parameter '" + key + "'",
+                      std::numeric_limits<unsigned>::max()));
 }
 
 double

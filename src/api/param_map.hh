@@ -18,6 +18,18 @@
 
 namespace gpulat {
 
+/**
+ * The one integer parser for user input (workload params, config
+ * overrides, CLI flags): a non-negative integer in @p base (0 =
+ * strtoull's 0x/0 prefixes) no larger than @p max. fatal(), naming
+ * @p what, on a sign, leading space, trailing junk, overflow of
+ * 64 bits or a value above @p max (e.g. the target type's range).
+ */
+std::uint64_t parseUnsigned(const std::string &text,
+                            const std::string &what,
+                            std::uint64_t max = UINT64_MAX,
+                            int base = 0);
+
 class ParamMap
 {
   public:

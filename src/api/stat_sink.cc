@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "api/parallel_runner.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 
@@ -136,9 +135,9 @@ FileBackedSink::FileBackedSink(const std::string &path)
 void
 JsonSink::write(const ExperimentRecord &record)
 {
-    os_ << (first_ ? "{\n  \"schema\": \"gpulat.run.v1\",\n"
-                     "  \"records\": [\n"
-                   : ",\n");
+    os_ << (first_ ? "{\n  \"schema\": " + jsonQuote(schema_) +
+                         ",\n  \"records\": [\n"
+                   : std::string(",\n"));
     first_ = false;
 
     os_ << "    {\n      \"gpu\": " << jsonQuote(record.gpu)
@@ -185,10 +184,10 @@ JsonSink::finish()
 {
     if (first_) {
         // No records: still emit a schema-complete document.
-        os_ << "{\n  \"schema\": \"gpulat.run.v1\",\n"
-               "  \"records\": [\n";
+        os_ << "{\n  \"schema\": " << jsonQuote(schema_)
+            << ",\n  \"records\": [\n";
     }
-    os_ << "\n  ]\n}\n";
+    os_ << "\n  ]" << trailer_ << "\n}\n";
 }
 
 // ------------------------------------------------------------- CsvSink
@@ -248,30 +247,26 @@ MultiSink::finish()
         sink->finish();
 }
 
-void
-addOutputSinks(MultiSink &sinks, int argc,
-               const char *const *argv, std::size_t *jobs)
+std::vector<JsonSink *>
+addOutputs(MultiSink &sinks, std::ostream &out,
+           const std::vector<std::string> &json,
+           const std::vector<std::string> &csv,
+           const std::string &schema)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--jobs" && jobs) {
-            if (i + 1 >= argc)
-                fatal("'--jobs' needs a value");
-            *jobs = parseJobs(argv[++i]);
-            continue;
-        }
-        if (arg != "--json" && arg != "--csv")
-            fatal("unknown bench argument '", arg,
-                  "' (benches take --json FILE / --csv FILE",
-                  jobs ? " / --jobs N)" : ")");
-        if (i + 1 >= argc)
-            fatal("'", arg, "' needs a file path");
-        const std::string path = argv[++i];
-        if (arg == "--json")
-            sinks.add(std::make_unique<JsonSink>(path));
+    std::vector<JsonSink *> docs;
+    for (const std::string &path : json) {
+        auto sink = path == "-" ? std::make_unique<JsonSink>(out, schema)
+                                : std::make_unique<JsonSink>(path, schema);
+        docs.push_back(sink.get());
+        sinks.add(std::move(sink));
+    }
+    for (const std::string &path : csv) {
+        if (path == "-")
+            sinks.add(std::make_unique<CsvSink>(out));
         else
             sinks.add(std::make_unique<CsvSink>(path));
     }
+    return docs;
 }
 
 } // namespace gpulat

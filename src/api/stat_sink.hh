@@ -3,7 +3,7 @@
  * Machine-readable experiment output. Every run produces one
  * ExperimentRecord with a schema-stable set of fields; StatSink
  * backends render a stream of records as an aligned text table,
- * JSON (`gpulat.run.v1`) or CSV. Benches and the `gpulat` CLI feed
+ * JSON (`gpulat.run.v1`) or CSV. Every `gpulat` command feeds
  * the same records to any combination of sinks, so a sweep is
  * plottable without scraping its human-readable table.
  */
@@ -122,17 +122,30 @@ class FileBackedSink : public StatSink
     std::ostream &os_;
 };
 
-/** JSON document {"schema": "gpulat.run.v1", "records": [...]}. */
+/**
+ * JSON document {"schema": "gpulat.run.v1", "records": [...]}.
+ * Documents that extend the records (gpulat.bench.v1) pass their
+ * schema and set a trailer of further top-level members.
+ */
 class JsonSink : public FileBackedSink
 {
   public:
-    explicit JsonSink(std::ostream &os) : FileBackedSink(os) {}
-    explicit JsonSink(const std::string &path)
-        : FileBackedSink(path) {}
+    explicit JsonSink(std::ostream &os,
+                      std::string schema = "gpulat.run.v1")
+        : FileBackedSink(os), schema_(std::move(schema)) {}
+    explicit JsonSink(const std::string &path,
+                      std::string schema = "gpulat.run.v1")
+        : FileBackedSink(path), schema_(std::move(schema)) {}
     void write(const ExperimentRecord &record) override;
     void finish() override;
 
+    /** Members finish() writes after "records", pre-rendered as
+     *  `,\n  "key": value` pairs. */
+    void setTrailer(std::string members) { trailer_ = std::move(members); }
+
   private:
+    std::string schema_;
+    std::string trailer_;
     bool first_ = true;
 };
 
@@ -169,16 +182,15 @@ class MultiSink : public StatSink
 };
 
 /**
- * Bench-main helper: consume `--json FILE` / `--csv FILE` pairs
- * from a bench's argv and add the matching sinks, so every bench
- * offers machine-readable output for free. When @p jobs is
- * non-null, `--jobs N` is also accepted (parseJobs semantics,
- * 0 = hardware concurrency) so multi-point benches parallelize for
- * free. fatal() on other arguments.
+ * Add a JsonSink (with @p schema) per @p json path and a CsvSink per
+ * @p csv path to @p sinks; the path "-" means @p out. Returns the
+ * JSON sinks (owned by @p sinks) for callers that set a trailer.
  */
-void addOutputSinks(MultiSink &sinks, int argc,
-                    const char *const *argv,
-                    std::size_t *jobs = nullptr);
+std::vector<JsonSink *> addOutputs(MultiSink &sinks, std::ostream &out,
+                                   const std::vector<std::string> &json,
+                                   const std::vector<std::string> &csv,
+                                   const std::string &schema =
+                                       "gpulat.run.v1");
 
 /** Escape and quote a string as a JSON literal. */
 std::string jsonQuote(const std::string &s);

@@ -20,6 +20,7 @@
 #include "api/config_override.hh"
 #include "api/experiment.hh"
 #include "api/param_map.hh"
+#include "api/parallel_runner.hh"
 #include "api/workload_registry.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -68,6 +69,37 @@ TEST(ParamMap, RejectsNegativeIntegers)
     // strtoull would happily wrap "-1" to 2^64-1.
     const ParamMap map = ParamMap::parse({"n=-1"});
     EXPECT_THROW((void)map.getU64("n", 0), FatalError);
+}
+
+TEST(ParamMap, RejectsIntegersOutOfRange)
+{
+    // 2^32 + 256 used to truncate to 256 threads per block, and a
+    // 20-digit n saturated to 2^64-1 instead of failing.
+    const ParamMap map = ParamMap::parse(
+        {"tpb=4294967552", "n=99999999999999999999", "pad= 7",
+         "max=4294967295"});
+    EXPECT_THROW((void)map.getUnsigned("tpb", 0), FatalError);
+    EXPECT_THROW((void)map.getU64("n", 0), FatalError);
+    EXPECT_THROW((void)map.getU64("pad", 0), FatalError);
+    EXPECT_EQ(map.getUnsigned("max", 0), 4294967295u);
+    EXPECT_EQ(map.getU64("tpb", 0), 4294967552u);
+
+    EXPECT_EQ(parseUnsigned("0x10", "x"), 16u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", "x"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_THROW(parseUnsigned("18446744073709551616", "x"),
+                 FatalError);
+    EXPECT_THROW(parseUnsigned("+1", "x"), FatalError);
+    EXPECT_THROW(parseUnsigned("256", "x", 255), FatalError);
+
+    GpuConfig cfg = makeConfig("gf100-sim");
+    EXPECT_THROW(applyOverride(cfg,
+                               "deviceMemBytes=99999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(applyOverride(cfg, "sm.warpSlots=4294967296"),
+                 FatalError);
+    EXPECT_THROW(parseClockRatio("4294967297/1"), FatalError);
+    EXPECT_THROW(parseJobs("99999999999999999999"), FatalError);
 }
 
 // ----------------------------------------------------- config overrides
@@ -675,6 +707,47 @@ TEST(Cli, RunRefusesCommaListsSweepExpandsThem)
     EXPECT_EQ(runCli(static_cast<int>(std::size(bad_scale)),
                      bad_scale, out2, err2),
               2);
+}
+
+/** Run the shipped CLI binary; {exit status, stdout+stderr}. */
+std::pair<int, std::string>
+runCliBinary(const std::string &args)
+{
+    const std::string cmd =
+        std::string(std::getenv("GPULAT_CLI")) + " " + args + " 2>&1";
+    FILE *pipe = popen(cmd.c_str(), "r");
+    std::string output;
+    char buf[4096];
+    while (pipe && std::fgets(buf, sizeof(buf), pipe))
+        output += buf;
+    return {pipe ? pclose(pipe) : -1, output};
+}
+
+TEST(Cli, RejectsOutOfRangeInputByName)
+{
+    const char *cli = std::getenv("GPULAT_CLI");
+    if (!cli || !*cli)
+        GTEST_SKIP() << "GPULAT_CLI not set (run under ctest)";
+    const std::pair<const char *, const char *> cases[] = {
+        {"run --gpu gf106 --workload vecadd n=2048 "
+         "threadsPerBlock=4294967552",
+         "parameter 'threadsPerBlock': '4294967552' is out of range"},
+        {"run --gpu gf106 --workload vecadd n=99999999999999999999",
+         "parameter 'n': '99999999999999999999' is out of range"},
+        {"run --workload vecadd --scale -5",
+         "'--scale' must be in (0,1]"},
+        {"run --workload vecadd --scale 7",
+         "'--scale' must be in (0,1]"},
+        {"run --workload vecadd --buckets 0 --report fig1",
+         "'--buckets' must be at least 1"},
+    };
+    for (const auto &[args, message] : cases) {
+        const auto [status, output] = runCliBinary(args);
+        EXPECT_NE(status, 0) << args;
+        EXPECT_NE(output.find(message), std::string::npos)
+            << args << "\n" << output;
+        EXPECT_EQ(output.find("panic"), std::string::npos) << output;
+    }
 }
 
 TEST(Golden, InProcessCliMatchesDirectApi)
