@@ -698,7 +698,8 @@ buildSuites()
     // reordered tick would surface first: the seed-golden BFS, a
     // warp-scheduler-heavy compute stream, the Table-I chase
     // ladder, non-unity clock ratios, the ddr bank state machine with
-    // banked MSHRs, and concurrent serving launches.
+    // banked MSHRs, and concurrent serving grids, whose dispatch
+    // depends on which cycles the dispatcher and scheduler tick.
     const std::vector<std::string> ddr{
         "numSms=8", "numPartitions=4", "mem.dram.model=ddr",
         "mem.dram.map=row,bg,xor", "mem.mshr.banks=1,8"};
@@ -734,7 +735,7 @@ buildSuites()
              {spec("gf100-sim", "serve.mixed",
                    {"tenants=3", "launches=6", "load=6"},
                    {"serving.policy=fifo,rr,fair-share"}),
-              {Axis::Jobs, Axis::TickJobs}}},
+              {Axis::Jobs, Axis::TickJobs, Axis::IdleFastForward}}},
     });
 
     return suites;
@@ -820,7 +821,7 @@ axisValues(Axis axis)
     switch (axis) {
       case Axis::Jobs: return {"1", "4"};
       case Axis::TickJobs: return {"1", "8"};
-      default: return {"off", "full", "perDomain"};
+      default: return {"off", "perDomain"};
     }
 }
 

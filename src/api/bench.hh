@@ -45,7 +45,7 @@ struct BenchGate
 /**
  * Execution knobs a sweep's records must not depend on. The harness
  * re-runs the sweep at every combination of its axes' values (jobs
- * 1|4, engine.tickJobs 1|8, idleFastForward off|full|perDomain) and
+ * 1|4, engine.tickJobs 1|8, idleFastForward off|perDomain) and
  * compares each run with the one at the axis's first value: JSON and
  * CSV byte for byte, or, for idleFastForward, simulated cycles only
  * (the mode is itself a record override).

@@ -355,15 +355,19 @@ printVerdict(std::ostream &out, const SmParallelVerdict &v)
     if (v.footprintKnown) {
         out << "grid footprint (" << v.footprint.size()
             << " range(s), " << (v.hasStore ? "has stores" : "loads only")
-            << (v.atomicsForwarded
-                    ? ", atomics partition-forwarded"
-                    : "")
             << "):\n";
         for (const FootprintRange &r : v.footprint) {
             out << "  [" << boundText(r.lo) << ", "
                 << boundText(r.hi) << ") "
-                << (r.atomic ? "atom" : r.store ? "store" : "load")
+                << (r.store ? "store" : "load")
                 << "\n";
+        }
+        // Atomics stay out of the footprint (each RMWs at its
+        // partition); print their grid ranges alongside.
+        for (const AccessFootprint &a : v.accesses) {
+            if (a.atomic && a.affine)
+                out << "  [" << boundText(a.gridLo) << ", "
+                    << boundText(a.gridHi) << ") atom\n";
         }
     } else {
         out << "grid footprint: unknown\n";

@@ -61,19 +61,12 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
         dst = parseClockRatio(text);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
-        // Legacy boolean spellings keep pre-enum sweeps working:
-        // "on"/true was the whole-pipeline skip, now called full.
-        if (text == "off" || text == "0" || text == "false") {
+        if (text == "off")
             dst = IdleFastForward::Off;
-        } else if (text == "full" || text == "on" || text == "1" ||
-                   text == "true") {
-            dst = IdleFastForward::Full;
-        } else if (text == "perDomain" || text == "perdomain" ||
-                   text == "per-domain") {
+        else if (text == "perDomain")
             dst = IdleFastForward::PerDomain;
-        } else {
-            fatal(path, ": '", text, "' is not off|full|perDomain");
-        }
+        else
+            fatal(path, ": '", text, "' is not off|perDomain");
     } else if constexpr (std::is_same_v<T, SchedPolicy>) {
         if (text == "lrr") dst = SchedPolicy::LRR;
         else if (text == "gto") dst = SchedPolicy::GTO;
@@ -134,11 +127,7 @@ formatValue(const T &v)
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
         return formatClockRatio(v);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
-        switch (v) {
-          case IdleFastForward::Off: return "off";
-          case IdleFastForward::Full: return "full";
-          default: return "perDomain";
-        }
+        return v == IdleFastForward::Off ? "off" : "perDomain";
     } else if constexpr (std::is_same_v<T, SchedPolicy>) {
         return v == SchedPolicy::LRR ? "lrr" : "gto";
     } else if constexpr (std::is_same_v<T, DramSchedPolicy>) {
@@ -198,7 +187,7 @@ buildKeys()
         GPULAT_CFG_KEY(icntClock, "ratio M/D"),
         GPULAT_CFG_KEY(l2Clock, "ratio M/D"),
         GPULAT_CFG_KEY(dramClock, "ratio M/D"),
-        GPULAT_CFG_KEY(idleFastForward, "off|full|perDomain"),
+        GPULAT_CFG_KEY(idleFastForward, "off|perDomain"),
         GPULAT_CFG_KEY(engine.tickJobs, "jobs (0 = hw)"),
         GPULAT_CFG_KEY(engine.watchdogStallSteps, "steps (0 = off)"),
         GPULAT_CFG_KEY(icntLatency, "cycles"),

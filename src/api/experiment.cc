@@ -219,8 +219,7 @@ collectRecord(Gpu &gpu, const ExperimentSpec &spec,
 
     // Fast-forward effectiveness: the share of each clock domain's
     // scheduled component ticks the engine provably skipped this
-    // epoch (0 with idleFastForward=off; perDomain strictly beats
-    // full on latency-bound runs). The raw totals ride along in
+    // epoch (0 with idleFastForward=off). The raw totals ride along in
     // rec.counters as engine.<domain>.ticks_run/_skipped via the
     // generic counter loop above.
     for (const auto &domain : gpu.engine().domains()) {

@@ -1,6 +1,7 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 
 #include "common/log.hh"
@@ -39,7 +40,8 @@ toCoreCycles(Cycle domain_cycles, ClockRatio ratio)
 /**
  * Validate the clock ratios before anything derives values from
  * them — runs on the config as the very first member initializer,
- * ahead of the toCoreCycles() uses in the init list.
+ * ahead of the toCoreCycles() uses in the init list — and reject
+ * values the partition model would divide by or wedge on.
  */
 GpuConfig
 validatedConfig(GpuConfig config)
@@ -47,6 +49,10 @@ validatedConfig(GpuConfig config)
     validateRatio("icnt", config.icntClock);
     validateRatio("l2", config.l2Clock);
     validateRatio("dram", config.dramClock);
+    if (config.partition.dramCmdInterval == 0)
+        fatal("partition.dramCmdInterval must be positive");
+    if (config.partition.dramQueueSize == 0)
+        fatal("partition.dramQueueSize must be positive");
     return config;
 }
 
@@ -91,7 +97,7 @@ Gpu::Gpu(GpuConfig config)
       reqEject_(reqNet_, partitions_),
       respInject_(partitions_, respNet_),
       respEject_(respNet_, sms_),
-      dispatcher_(sms_),
+      dispatcher_(*this),
       rng_(config_.seed)
 {
     PartitionParams part_params = config_.partition;
@@ -244,12 +250,13 @@ std::uint64_t
 Gpu::activitySignature() const
 {
     // Any packet movement or instruction progress perturbs this;
-    // equality across a long window means a genuine stall. The
-    // per-SM request pools sum to the old shared counter's value,
-    // so the signature is numerically unchanged by the sharding.
-    std::uint64_t sig = dispatcher_.nextBlock();
-    for (const LaunchId id : partActive_)
-        sig += partLaunches_[id]->nextBlock;
+    // equality across a long window means a genuine stall. The L2
+    // access counter stays out: a stalled L2-queue head re-counts
+    // its access every cycle, and every real access follows an
+    // icnt.req transfer counted below.
+    std::uint64_t sig = 0;
+    for (const auto &g : grids_)
+        sig += g->nextBlock;
     for (const auto &sm : sms_)
         sig += sm->requestsIssued();
     for (unsigned s = 0; s < config_.numSms; ++s) {
@@ -259,7 +266,6 @@ Gpu::activitySignature() const
     }
     for (unsigned p = 0; p < config_.numPartitions; ++p) {
         const std::string prefix = "part" + std::to_string(p);
-        sig += stats_.counterValue(prefix + ".l2_accesses");
         sig += stats_.counterValue(prefix + ".dram_reads");
         sig += stats_.counterValue(prefix + ".dram_writes");
     }
@@ -268,8 +274,17 @@ Gpu::activitySignature() const
     return sig;
 }
 
+std::uint64_t
+Gpu::instructionsIssued() const
+{
+    std::uint64_t sum = 0;
+    for (unsigned s = 0; s < config_.numSms; ++s)
+        sum += stats_.counterValue("sm" + std::to_string(s) + ".issued");
+    return sum;
+}
+
 std::string
-Gpu::stallReport(const std::string &kernel_name)
+Gpu::stallReport(const std::string &what)
 {
     // Close every lazy idle-accounting window first: under
     // perDomain fast-forward, sleeping components carry
@@ -280,10 +295,8 @@ Gpu::stallReport(const std::string &kernel_name)
     engine_.settle();
 
     std::ostringstream oss;
-    oss << "no forward progress at cycle " << engine_.now()
-        << " (kernel '" << kernel_name << "', dispatched "
-        << dispatcher_.nextBlock() << "/" << dispatcher_.numBlocks()
-        << " blocks)\n";
+    oss << "no forward progress at cycle " << engine_.now() << " ("
+        << what << ")\n";
     oss << "  engine: now=" << engine_.now()
         << " steps=" << engine_.steps()
         << " ff_skipped=" << engine_.skippedCycles() << "\n";
@@ -304,11 +317,11 @@ Gpu::stallReport(const std::string &kernel_name)
         oss << "  sm-parallel verdict: "
             << (verdict_.safe ? "safe (" : "unsafe (")
             << verdict_.reason << ")\n";
-    for (const LaunchId id : partActive_) {
-        const PartLaunch &pl = *partLaunches_[id];
-        oss << "  launch " << id << " ('" << pl.ctx.kernel->name
-            << "'): " << pl.nextBlock << "/" << pl.ctx.numBlocks
-            << " blocks on " << pl.smIds.size() << " SMs\n";
+    for (const auto &g : grids_) {
+        oss << "  grid " << g->id << " ('" << g->ctx.kernel->name
+            << "'): dispatched " << g->nextBlock << "/"
+            << g->ctx.numBlocks << " blocks on " << g->smIds.size()
+            << " SMs\n";
     }
     oss << "  icnt: req=" << reqNet_.inFlight()
         << " resp=" << respNet_.inFlight() << " in flight\n";
@@ -325,9 +338,9 @@ Gpu::stallReport(const std::string &kernel_name)
 }
 
 void
-Gpu::validateLaunchShape(const Kernel &kernel, unsigned num_blocks,
-                         unsigned threads_per_block,
-                         std::size_t num_params) const
+Gpu::validateGrid(const Kernel &kernel, unsigned num_blocks,
+                  unsigned threads_per_block, std::size_t num_params,
+                  const std::vector<unsigned> &sm_ids) const
 {
     if (num_blocks == 0 || threads_per_block == 0)
         fatal("launch of '", kernel.name, "' with empty grid/block");
@@ -339,6 +352,19 @@ Gpu::validateLaunchShape(const Kernel &kernel, unsigned num_blocks,
     if (kernel.sharedBytes > config_.sm.smemPerSm)
         fatal("kernel shared memory ", kernel.sharedBytes,
               " exceeds SM capacity ", config_.sm.smemPerSm);
+    // The rest of SmCore::canAcceptBlock()'s rule: a block that
+    // fails it on an empty SM would never become resident.
+    if (config_.sm.maxBlocksPerSm == 0)
+        fatal("sm.maxBlocksPerSm is 0: no block of '", kernel.name,
+              "' can ever become resident");
+    const std::uint64_t warps =
+        (threads_per_block + kWarpSize - 1) / kWarpSize;
+    const std::uint64_t regs =
+        warps * kWarpSize * static_cast<std::uint64_t>(kernel.numRegs);
+    if (regs > config_.sm.regsPerSm)
+        fatal("block of '", kernel.name, "' needs ", regs,
+              " registers, more than sm.regsPerSm = ",
+              config_.sm.regsPerSm);
 
     // The declared register count bounds each thread's register
     // file slice; code touching a register beyond it would corrupt
@@ -354,68 +380,127 @@ Gpu::validateLaunchShape(const Kernel &kernel, unsigned num_blocks,
     if (max_reg >= kernel.numRegs)
         fatal("kernel '", kernel.name, "' declares ", kernel.numRegs,
               " registers but uses r", max_reg);
+
+    if (sm_ids.empty())
+        fatal("grid of '", kernel.name, "' with no SMs");
+    for (std::size_t i = 0; i < sm_ids.size(); ++i) {
+        const unsigned s = sm_ids[i];
+        if (s >= config_.numSms)
+            fatal("grid of '", kernel.name, "' names SM ", s, " of ",
+                  config_.numSms);
+        for (std::size_t j = i + 1; j < sm_ids.size(); ++j)
+            if (sm_ids[j] == s)
+                fatal("grid of '", kernel.name, "' names SM ", s,
+                      " twice");
+        for (const auto &g : grids_)
+            for (const unsigned t : g->smIds)
+                if (t == s)
+                    fatal("SM ", s, " already owned by active grid ",
+                          g->id, " ('", g->ctx.kernel->name, "')");
+        GPULAT_ASSERT(!sms_[s]->busy() && sms_[s]->drained(),
+                      "grid begun on a busy SM");
+    }
 }
 
-LaunchResult
-Gpu::launch(const Kernel &kernel, unsigned num_blocks,
-            unsigned threads_per_block,
-            const std::vector<RegValue> &params)
+Gpu::GridId
+Gpu::beginGrid(const Kernel &kernel, unsigned num_blocks,
+               unsigned threads_per_block,
+               const std::vector<RegValue> &params,
+               std::vector<unsigned> sm_ids)
 {
-    validateLaunchShape(kernel, num_blocks, threads_per_block,
-                        params.size());
-    GPULAT_ASSERT(partActive_.empty(),
-                  "launch() while partitioned launches active");
+    validateGrid(kernel, num_blocks, threads_per_block, params.size(),
+                 sm_ids);
 
-    ctx_ = LaunchContext{};
-    ctx_.kernel = &kernel;
-    ctx_.numBlocks = num_blocks;
-    ctx_.threadsPerBlock = threads_per_block;
+    auto g = std::make_unique<Grid>();
+    g->id = nextGridId_++;
+    g->ctx.kernel = &kernel;
+    g->ctx.numBlocks = num_blocks;
+    g->ctx.threadsPerBlock = threads_per_block;
     for (std::size_t i = 0; i < params.size(); ++i)
-        ctx_.params[i] = params[i];
-    ctx_.totalThreads =
+        g->ctx.params[i] = params[i];
+    g->ctx.totalThreads =
         static_cast<std::uint64_t>(num_blocks) * threads_per_block;
-    ctx_.localBytesPerThread = config_.localBytesPerThread;
+    g->ctx.localBytesPerThread = config_.localBytesPerThread;
+    g->smIds = std::move(sm_ids);
 
-    // Back the local space only if the kernel touches it.
-    bool uses_local = false;
-    for (const auto &inst : kernel.code)
-        if (inst.isMemory() && inst.space == MemSpace::Local)
-            uses_local = true;
+    // Back the local space only if the kernel touches it, and only
+    // for a grid running alone: concurrent grids would have to
+    // share the single backing store.
+    const bool uses_local = std::any_of(
+        kernel.code.begin(), kernel.code.end(), [](const auto &inst) {
+            return inst.isMemory() && inst.space == MemSpace::Local;
+        });
     if (uses_local) {
+        if (!grids_.empty())
+            fatal("kernel '", kernel.name, "' uses local memory; "
+                  "unsupported beside another active grid");
         if (localBase_ == kNoAddr ||
-            localAllocThreads_ != ctx_.totalThreads ||
-            localAllocBytes_ != ctx_.localBytesPerThread) {
+            localAllocThreads_ != g->ctx.totalThreads ||
+            localAllocBytes_ != g->ctx.localBytesPerThread) {
             localBase_ = dmem_.alloc(
-                ctx_.totalThreads * ctx_.localBytesPerThread,
+                g->ctx.totalThreads * g->ctx.localBytesPerThread,
                 config_.sm.lineBytes);
-            localAllocThreads_ = ctx_.totalThreads;
-            localAllocBytes_ = ctx_.localBytesPerThread;
+            localAllocThreads_ = g->ctx.totalThreads;
+            localAllocBytes_ = g->ctx.localBytesPerThread;
         }
-        ctx_.localBase = localBase_;
+        g->ctx.localBase = localBase_;
     }
 
     // The SM-parallel safety verdict is a diagnostic: SM cores tick
     // in registration order on the coordinator whatever it says,
     // but every ExperimentRecord carries it.
     verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
-                                       threads_per_block, ctx_.params);
+                                       threads_per_block,
+                                       g->ctx.params);
 
-    dispatcher_.beginGrid(num_blocks);
-    for (auto &sm : sms_)
-        sm->startLaunch(&ctx_);
-    // Arming the dispatcher and loading warps happened outside the
-    // engine: cached promises cannot have seen it.
+    for (const unsigned s : g->smIds)
+        sms_[s]->startLaunch(&g->ctx);
+    // Binding contexts and arming the dispatcher happened outside
+    // the engine: cached promises cannot have seen it.
     engine_.wakeAll();
 
-    const Cycle start = engine_.now();
-    const std::uint64_t instr_before =
-        [&] {
-            std::uint64_t sum = 0;
-            for (unsigned s = 0; s < config_.numSms; ++s)
-                sum += stats_.counterValue(
-                    "sm" + std::to_string(s) + ".issued");
-            return sum;
-        }();
+    grids_.push_back(std::move(g));
+    return grids_.back()->id;
+}
+
+const Gpu::Grid &
+Gpu::grid(GridId id) const
+{
+    for (const auto &g : grids_)
+        if (g->id == id)
+            return *g;
+    panic("grid ", id, " is not active");
+}
+
+bool
+Gpu::gridDone(GridId id) const
+{
+    const Grid &g = grid(id);
+    if (g.nextBlock < g.ctx.numBlocks)
+        return false;
+    for (const unsigned s : g.smIds)
+        if (sms_[s]->busy() || !sms_[s]->drained())
+            return false;
+    return true;
+}
+
+void
+Gpu::retireGrid(GridId id)
+{
+    GPULAT_ASSERT(gridDone(id), "retiring an unfinished grid");
+    for (const unsigned s : grid(id).smIds)
+        sms_[s]->endLaunch();
+    std::erase_if(grids_, [id](const auto &g) { return g->id == id; });
+}
+
+LaunchResult
+Gpu::run(const std::function<bool()> &finished,
+         const std::function<std::uint64_t()> &progress,
+         const std::string &what)
+{
+    LaunchResult result;
+    result.startCycle = engine_.now();
+    const std::uint64_t instr_before = instructionsIssued();
 
     // Watchdog: the no-progress window is measured in *performed
     // engine steps* (TickEngine::steps()), never in core cycles —
@@ -426,23 +511,29 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
     // so it is still caught in every mode, including Off, where
     // steps and cycles coincide. Panics with a per-layer report.
     const std::uint64_t stall_steps = config_.engine.watchdogStallSteps;
-    std::uint64_t last_sig = activitySignature();
+    const auto signature = [&] {
+        std::uint64_t sig = activitySignature();
+        if (progress)
+            sig += 0x9e3779b97f4a7c15ull * progress();
+        return sig;
+    };
+    std::uint64_t last_sig = signature();
     std::uint64_t last_progress_step = engine_.steps();
     std::uint64_t iters = 0;
 
-    while (!dispatcher_.allDispatched() || !allDrained()) {
+    while (!finished() || !allDrained()) {
         engine_.step();
         engine_.fastForward(); // no-op in IdleFastForward::Off
 
         if ((++iters & 0x3fffu) == 0) {
-            const std::uint64_t sig = activitySignature();
+            const std::uint64_t sig = signature();
             if (sig != last_sig) {
                 last_sig = sig;
                 last_progress_step = engine_.steps();
             } else if (stall_steps != 0 &&
                        engine_.steps() - last_progress_step >
                            stall_steps) {
-                panic(stallReport(kernel.name));
+                panic(stallReport(what));
             }
         }
     }
@@ -451,141 +542,71 @@ Gpu::launch(const Kernel &kernel, unsigned num_blocks,
     // anything reads per-cycle statistics.
     engine_.settle();
 
-    LaunchResult result;
-    result.startCycle = start;
     result.endCycle = engine_.now();
-    result.cycles = engine_.now() - start;
-    std::uint64_t instr_after = 0;
-    for (unsigned s = 0; s < config_.numSms; ++s)
-        instr_after += stats_.counterValue(
-            "sm" + std::to_string(s) + ".issued");
-    result.instructions = instr_after - instr_before;
+    result.cycles = result.endCycle - result.startCycle;
+    result.instructions = instructionsIssued() - instr_before;
     return result;
 }
 
-Gpu::LaunchId
-Gpu::beginPartitionedLaunch(const Kernel &kernel, unsigned num_blocks,
-                            unsigned threads_per_block,
-                            const std::vector<RegValue> &params,
-                            std::vector<unsigned> sm_ids)
+void
+Gpu::addCoreComponent(Clocked &component)
 {
-    validateLaunchShape(kernel, num_blocks, threads_per_block,
-                        params.size());
-    if (sm_ids.empty())
-        fatal("partitioned launch of '", kernel.name,
-              "' with no SMs");
-    for (std::size_t i = 0; i < sm_ids.size(); ++i) {
-        const unsigned s = sm_ids[i];
-        if (s >= config_.numSms)
-            fatal("partitioned launch of '", kernel.name,
-                  "' names SM ", s, " of ", config_.numSms);
-        for (std::size_t j = i + 1; j < sm_ids.size(); ++j)
-            if (sm_ids[j] == s)
-                fatal("partitioned launch of '", kernel.name,
-                      "' names SM ", s, " twice");
-        for (const LaunchId other : partActive_)
-            for (const unsigned t : partLaunches_[other]->smIds)
-                if (t == s)
-                    fatal("SM ", s, " already owned by active "
-                          "launch ", other);
-        GPULAT_ASSERT(!sms_[s]->busy() && sms_[s]->drained(),
-                      "partitioned launch on a busy SM");
+    // The core domain is the first one the constructor adds.
+    engine_.add(*engine_.domains().front(), component);
+    for (auto &sm : sms_) {
+        engine_.link(component, *sm);
+        engine_.link(*sm, component);
     }
-    // Concurrent grids would have to share the single local-memory
-    // backing store; no serving kernel needs local space.
-    for (const auto &inst : kernel.code)
-        if (inst.isMemory() && inst.space == MemSpace::Local)
-            fatal("kernel '", kernel.name, "' uses local memory; "
-                  "unsupported for concurrent launches");
-
-    auto pl = std::make_unique<PartLaunch>();
-    pl->ctx.kernel = &kernel;
-    pl->ctx.numBlocks = num_blocks;
-    pl->ctx.threadsPerBlock = threads_per_block;
-    for (std::size_t i = 0; i < params.size(); ++i)
-        pl->ctx.params[i] = params[i];
-    pl->ctx.totalThreads =
-        static_cast<std::uint64_t>(num_blocks) * threads_per_block;
-    pl->ctx.localBytesPerThread = config_.localBytesPerThread;
-    pl->smIds = std::move(sm_ids);
-    pl->active = true;
-
-    verdict_ = analyzeSmParallelSafety(kernel, num_blocks,
-                                       threads_per_block,
-                                       pl->ctx.params);
-
-    for (const unsigned s : pl->smIds)
-        sms_[s]->startLaunch(&pl->ctx);
-    // Binding contexts happened outside the engine: cached promises
-    // cannot have seen it.
-    engine_.wakeAll();
-
-    const auto id = static_cast<LaunchId>(partLaunches_.size());
-    partLaunches_.push_back(std::move(pl));
-    partActive_.push_back(id);
-    return id;
 }
 
-bool
-Gpu::partitionedLaunchDone(LaunchId id) const
+LaunchResult
+Gpu::launch(const Kernel &kernel, unsigned num_blocks,
+            unsigned threads_per_block,
+            const std::vector<RegValue> &params)
 {
-    const PartLaunch &pl = *partLaunches_[id];
-    GPULAT_ASSERT(pl.active, "done query on a retired launch");
-    if (pl.nextBlock < pl.ctx.numBlocks)
-        return false;
-    for (const unsigned s : pl.smIds)
-        if (sms_[s]->busy() || !sms_[s]->drained())
-            return false;
-    return true;
+    std::vector<unsigned> all_sms(config_.numSms);
+    std::iota(all_sms.begin(), all_sms.end(), 0u);
+    const GridId id = beginGrid(kernel, num_blocks, threads_per_block,
+                                params, std::move(all_sms));
+    const LaunchResult result =
+        run([&] { return gridDone(id); }, nullptr,
+            "kernel '" + kernel.name + "'");
+    retireGrid(id);
+    return result;
 }
 
 void
-Gpu::retirePartitionedLaunch(LaunchId id)
+Gpu::Dispatcher::tick(Cycle now)
 {
-    GPULAT_ASSERT(partitionedLaunchDone(id),
-                  "retiring an unfinished launch");
-    PartLaunch &pl = *partLaunches_[id];
-    pl.active = false;
-    partActive_.erase(
-        std::find(partActive_.begin(), partActive_.end(), id));
-}
-
-void
-Gpu::tickPartitionedDispatch(Cycle now)
-{
-    for (const LaunchId id : partActive_) {
-        PartLaunch &pl = *partLaunches_[id];
-        if (pl.nextBlock >= pl.ctx.numBlocks)
-            continue;
-        // Up to one block per owned SM per cycle, like the
-        // single-launch BlockDispatcher. The rotation offset is
-        // `now % n` rather than a tick-counted rotor so skipped
-        // scheduler cycles (which can never dispatch — no SM had
-        // room) do not shift later dispatch decisions between
-        // fast-forward modes.
-        const std::size_t n = pl.smIds.size();
+    for (const auto &g : gpu_.grids_) {
+        const std::size_t n = g->smIds.size();
         const auto start = static_cast<std::size_t>(now % n);
         for (std::size_t k = 0;
-             k < n && pl.nextBlock < pl.ctx.numBlocks; ++k) {
-            SmCore &sm = *sms_[pl.smIds[(start + k) % n]];
+             k < n && g->nextBlock < g->ctx.numBlocks; ++k) {
+            SmCore &sm = *gpu_.sms_[g->smIds[(start + k) % n]];
             if (sm.canAcceptBlock())
-                sm.dispatchBlock(pl.nextBlock++);
+                sm.dispatchBlock(g->nextBlock++);
         }
     }
 }
 
-bool
-Gpu::partitionedDispatchReady() const
+Cycle
+Gpu::Dispatcher::nextEventAt(Cycle now) const
 {
-    for (const LaunchId id : partActive_) {
-        const PartLaunch &pl = *partLaunches_[id];
-        if (pl.nextBlock >= pl.ctx.numBlocks)
+    // Blocks remain: dispatch happens the moment an owned SM has
+    // room. If none has, room only appears when a resident block
+    // retires — an SM-side event, so it is safe to report idle
+    // here (the Gpu declares SM -> dispatcher wake edges, so a
+    // retirement discards this promise before it could go stale).
+    // A new grid wakes every component.
+    for (const auto &g : gpu_.grids_) {
+        if (g->nextBlock >= g->ctx.numBlocks)
             continue;
-        for (const unsigned s : pl.smIds)
-            if (sms_[s]->canAcceptBlock())
-                return true;
+        for (const unsigned s : g->smIds)
+            if (gpu_.sms_[s]->canAcceptBlock())
+                return now;
     }
-    return false;
+    return kNoCycle;
 }
 
 } // namespace gpulat

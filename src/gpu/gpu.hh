@@ -6,6 +6,13 @@
  * memory, copies data, launches kernels and reads the
  * collectors/statistics afterwards.
  *
+ * Every launch is a grid on a set of SMs: beginGrid() validates it
+ * and binds its SMs, the dispatcher component hands out its blocks,
+ * run() steps the engine until the caller's work is done and the
+ * device has drained, and retireGrid() frees the SMs. launch() is
+ * that sequence for one grid on every SM; the serving layer keeps
+ * several grids resident on disjoint SM sets.
+ *
  * Component layering (registration order = intra-cycle tick order):
  *
  *   icnt : reqNet, respNet
@@ -16,13 +23,15 @@
  *
  * At the default 1:1:1:1 ratios this replays the original
  * hand-ordered tick() bit-for-bit; non-unity ratios slow or speed
- * whole domains, and the engine fast-forwards windows where every
- * component reports idle (e.g. the post-grid drain tail).
+ * whole domains. Under per-domain fast-forward each component
+ * sleeps until its own next-event promise, and the engine jumps
+ * windows in which every component sleeps.
  */
 
 #ifndef GPULAT_GPU_GPU_HH
 #define GPULAT_GPU_GPU_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,7 +72,8 @@ class Gpu
     /** @} */
 
     /**
-     * Launch a kernel and simulate to completion (drained pipelines).
+     * Launch a kernel on every SM and simulate to completion
+     * (drained pipelines): beginGrid(), run(), retireGrid().
      *
      * @param kernel finalized kernel.
      * @param num_blocks 1-D grid size.
@@ -75,79 +85,73 @@ class Gpu
                         const std::vector<RegValue> &params);
 
     /**
-     * @name Concurrent (partitioned) kernel launches
+     * @name Grids
      *
-     * The serving layer's path: several kernels resident at once,
-     * each restricted to its own set of SMs, driven by an external
-     * run loop (the caller steps the engine; launch() keeps its
-     * one-kernel-at-a-time semantics untouched). A launch is begun,
-     * its blocks are dispatched from a Clocked tick via
-     * tickPartitionedDispatch(), completion is polled with
-     * partitionedLaunchDone(), and retirePartitionedLaunch() frees
-     * the SMs for the next admission. Kernels and param vectors
-     * must outlive the launch; local-memory kernels are rejected
-     * (the single backing store cannot be shared between concurrent
-     * grids).
+     * A grid is a kernel launch bound to a set of SMs. Several can
+     * be resident at once on disjoint SM sets; the dispatcher
+     * component dispatches up to one block per owned SM per core
+     * cycle for each of them. Kernels and param vectors must
+     * outlive the grid.
      * @{
      */
-    using LaunchId = std::uint32_t;
-
-    /** Begin a launch on @p sm_ids (must be idle and unowned). */
-    LaunchId beginPartitionedLaunch(const Kernel &kernel,
-                                    unsigned num_blocks,
-                                    unsigned threads_per_block,
-                                    const std::vector<RegValue> &params,
-                                    std::vector<unsigned> sm_ids);
-
-    /** All blocks dispatched and every owned SM idle and drained? */
-    bool partitionedLaunchDone(LaunchId id) const;
-
-    /** Release a done launch's SMs. */
-    void retirePartitionedLaunch(LaunchId id);
+    using GridId = std::uint32_t;
 
     /**
-     * Dispatch up to one block per owned SM per active launch for
-     * this cycle. Called from the scheduler component's tick; the
-     * per-launch rotation offset derives from @p now, not a
-     * tick-counted rotor, so dispatch decisions are identical in
-     * every idle-fast-forward mode.
+     * Begin a grid on @p sm_ids. Rejects (FatalError) a bad shape,
+     * a block that can never become resident, an empty or
+     * malformed SM set, an SM owned by an active grid, and a
+     * local-memory kernel beside another grid (the single backing
+     * store cannot be shared). Its blocks are dispatched from the
+     * next dispatcher tick on.
      */
-    void tickPartitionedDispatch(Cycle now);
+    GridId beginGrid(const Kernel &kernel, unsigned num_blocks,
+                     unsigned threads_per_block,
+                     const std::vector<RegValue> &params,
+                     std::vector<unsigned> sm_ids);
 
-    /** Any active launch with undispatched blocks and SM room? */
-    bool partitionedDispatchReady() const;
+    /** All blocks dispatched and every owned SM idle and drained? */
+    bool gridDone(GridId id) const;
 
-    bool anyPartitionedActive() const { return !partActive_.empty(); }
+    /** Release a done grid's SMs. */
+    void retireGrid(GridId id);
+
+    /**
+     * Step the engine until @p finished() holds and the device has
+     * drained, then settle it; returns the elapsed cycles and warp
+     * instructions. The watchdog panics with a stall report after
+     * engine.watchdogStallSteps performed steps in which neither
+     * activitySignature() nor @p progress() (optional: work the
+     * caller tracks outside the device) changed.
+     */
+    LaunchResult run(const std::function<bool()> &finished,
+                     const std::function<std::uint64_t()> &progress,
+                     const std::string &what);
+
+    /**
+     * Register @p component on the core clock after the dispatcher
+     * (so a grid it begins receives blocks from the next cycle on),
+     * with wake edges to and from every SM. The serving layer's
+     * scheduler is such a component.
+     */
+    void addCoreComponent(Clocked &component);
     /** @} */
 
     /** @name Instrumentation @{ */
-    /** SM-parallel safety verdict of the most recent launch (either
-     *  flavour; a diagnostic — SM cores always tick in registration
-     *  order); default-constructed before any launch. */
+    /** SM-parallel safety verdict of the most recent grid (a
+     *  diagnostic — SM cores always tick in registration order);
+     *  default-constructed before any grid. */
     const SmParallelVerdict &lastVerdict() const { return verdict_; }
     StatRegistry &stats() { return stats_; }
     LatencyCollector &latencies() { return latCollector_; }
     ExposureCollector &exposure() { return expCollector_; }
     /** Engine introspection (fast-forward effectiveness, domains). */
     const TickEngine &engine() const { return engine_; }
-    /** Mutable engine access for post-construction wiring: the
-     *  serving layer registers its scheduler as a Clocked component
-     *  and links wake edges to the SMs. */
-    TickEngine &engine() { return engine_; }
     /** Per-device RNG, seeded from GpuConfig::seed (the `seed`
      *  override key): workload input data, arrival streams. */
     Rng &rng() { return rng_; }
-    /** @} */
-
-    /** @name External-run-loop support (serving sessions) @{ */
-    /** Every SM, network and partition empty and idle. */
-    bool allDrained() const;
     /** Watchdog progress signature: changes whenever any packet
-     *  moves or any instruction issues anywhere on the device. */
+     *  moves, any block is dispatched or any instruction issues. */
     std::uint64_t activitySignature() const;
-    /** Per-layer diagnostics for a watchdog panic; settles the
-     *  engine first so idle/occupancy cycle totals are current. */
-    std::string stallReport(const std::string &kernel_name);
     /** @} */
 
     Cycle now() const { return engine_.now(); }
@@ -166,21 +170,45 @@ class Gpu
     void invalidateCaches();
 
   private:
-    /** Shape/resource checks shared by both launch paths. */
-    void validateLaunchShape(const Kernel &kernel,
-                             unsigned num_blocks,
-                             unsigned threads_per_block,
-                             std::size_t num_params) const;
-
-    /** One concurrent launch: address-stable context (SMs keep a
-     *  raw pointer), owned SMs, dispatch cursor. */
-    struct PartLaunch
+    /** One grid: address-stable context (SMs keep a raw pointer),
+     *  owned SMs, dispatch cursor. */
+    struct Grid
     {
+        GridId id = 0;
         LaunchContext ctx;
         std::vector<unsigned> smIds;
         unsigned nextBlock = 0;
-        bool active = false;
     };
+
+    /**
+     * The block dispatcher: up to one block per owned SM per core
+     * cycle for every active grid. Each grid's rotation offset is
+     * `now % n` over its n SMs, so skipped cycles (which can never
+     * dispatch: no SM had room) leave later decisions unchanged in
+     * every fast-forward mode.
+     */
+    class Dispatcher : public Clocked
+    {
+      public:
+        explicit Dispatcher(Gpu &gpu) : gpu_(gpu) {}
+        void tick(Cycle now) override;
+        Cycle nextEventAt(Cycle now) const override;
+
+      private:
+        Gpu &gpu_;
+    };
+
+    /** Reject a grid its SMs could never run. */
+    void validateGrid(const Kernel &kernel, unsigned num_blocks,
+                      unsigned threads_per_block,
+                      std::size_t num_params,
+                      const std::vector<unsigned> &sm_ids) const;
+    const Grid &grid(GridId id) const;
+    bool allDrained() const;
+    std::uint64_t instructionsIssued() const;
+    /** Per-layer diagnostics for a watchdog panic; settles the
+     *  engine first so idle/occupancy cycle totals are current. */
+    std::string stallReport(const std::string &what);
 
     GpuConfig config_;
     StatRegistry stats_;
@@ -198,22 +226,18 @@ class Gpu
     NetToPartitionPort reqEject_;
     PartitionToNetPort respInject_;
     NetToSmPort respEject_;
-    BlockDispatcher dispatcher_;
+    Dispatcher dispatcher_;
     std::vector<std::unique_ptr<PartitionMemSide>> partMemSides_;
     std::vector<std::unique_ptr<PartitionL2Side>> partL2Sides_;
     /** @} */
 
-    /** SM-parallel safety verdict of the most recent launch
+    /** SM-parallel safety verdict of the most recent grid
      *  (record metrics, watchdog stall reports). */
     SmParallelVerdict verdict_;
 
-    LaunchContext ctx_;
-
-    /** All partitioned launches ever begun (ids are indices; never
-     *  reused, so contexts stay address-stable) and the ids of the
-     *  currently active ones in admission order. */
-    std::vector<std::unique_ptr<PartLaunch>> partLaunches_;
-    std::vector<LaunchId> partActive_;
+    /** Active grids in begin order. */
+    std::vector<std::unique_ptr<Grid>> grids_;
+    GridId nextGridId_ = 0;
 
     Rng rng_;
 

@@ -69,14 +69,12 @@ struct GpuConfig
 
     /**
      * Idle fast-forward policy (cycle-exact by construction in
-     * every mode; see IdleFastForward in engine/clocked.hh):
-     * `Off` ticks naively, `Full` jumps only all-idle windows
-     * (e.g. the drain tail of a launch), `PerDomain` (default)
-     * event-schedules each component independently so a long DRAM
-     * bank wait no longer drags sleeping core/icnt/L2 components
-     * through per-cycle no-op ticks. Dotted override key:
-     * `idleFastForward=off|full|perDomain` (legacy booleans map to
-     * off/full).
+     * both modes; see IdleFastForward in engine/clocked.hh):
+     * `Off` ticks naively, `PerDomain` (default) event-schedules
+     * each component independently so a long DRAM bank wait no
+     * longer drags sleeping core/icnt/L2 components through
+     * per-cycle no-op ticks. Dotted override key:
+     * `idleFastForward=off|perDomain`.
      */
     IdleFastForward idleFastForward = IdleFastForward::PerDomain;
 

@@ -802,7 +802,7 @@ class Analyzer
                     hi = lo; // guard proves the access never fires
             }
         }
-        return FootprintRange{lo, hi, false, false};
+        return FootprintRange{lo, hi, false};
     }
 
     bool crossBlockDisjoint(const GlobalAccess &a,
@@ -1389,7 +1389,6 @@ Analyzer::run()
         v.accesses.push_back(std::move(fp));
     }
     v.hasStore = have_store;
-    v.atomicsForwarded = num_atomics > 0;
     if (num_atomics > 0) {
         std::ostringstream os;
         os << "atomics: " << num_atomics

@@ -130,8 +130,6 @@ struct FootprintRange
     std::int64_t lo = 0; ///< inclusive (kNegInf = unbounded)
     std::int64_t hi = 0; ///< exclusive (kPosInf = unbounded)
     bool store = false;
-    /** Forwarded atomic: never a schedule hazard (see file header). */
-    bool atomic = false;
 };
 
 /** One global access site, for reports and `gpulat analyze`. */
@@ -179,9 +177,6 @@ struct SmParallelVerdict
     bool hasStore = true;
     std::vector<FootprintRange> footprint;
     /** @} */
-
-    /** Kernel contains atomics (forwarded to the partition tick). */
-    bool atomicsForwarded = false;
 
     /** @name Analysis introspection (tests, `gpulat analyze`) @{ */
     std::vector<AccessFootprint> accesses;

@@ -1,8 +1,7 @@
 /**
  * @file
  * Timed-port adapters: the small Clocked components that move
- * packets between the big models (crossbars, partitions, SMs) and
- * dispatch thread blocks.
+ * packets between the big models (crossbars, partitions, SMs).
  *
  * Each adapter is registered in the *consumer's* clock domain — a
  * packet crosses into a domain when that domain clocks it in, which
@@ -180,46 +179,6 @@ class PartitionL2Side : public Clocked
 
   private:
     MemPartition &part_;
-};
-
-/**
- * Grid dispatcher: up to one block per SM per core cycle,
- * round-robin over SMs. The rotor advances every core cycle
- * (dispatched or not, grid exhausted or not) exactly like the
- * hand-written loop it replaced, so launch-to-launch state is
- * bit-identical — fastForward() keeps it rotating through skipped
- * windows.
- */
-class BlockDispatcher : public Clocked
-{
-  public:
-    explicit BlockDispatcher(
-        std::vector<std::unique_ptr<SmCore>> &sms)
-        : sms_(sms)
-    {
-    }
-
-    /** Arm the dispatcher for a new grid (the rotor persists). */
-    void
-    beginGrid(unsigned num_blocks)
-    {
-        numBlocks_ = num_blocks;
-        nextBlock_ = 0;
-    }
-
-    bool allDispatched() const { return nextBlock_ >= numBlocks_; }
-    unsigned nextBlock() const { return nextBlock_; }
-    unsigned numBlocks() const { return numBlocks_; }
-
-    void tick(Cycle now) override;
-    Cycle nextEventAt(Cycle now) const override;
-    void fastForward(Cycle from, Cycle to) override;
-
-  private:
-    std::vector<std::unique_ptr<SmCore>> &sms_;
-    unsigned numBlocks_ = 0;
-    unsigned nextBlock_ = 0;
-    unsigned rr_ = 0;
 };
 
 } // namespace gpulat

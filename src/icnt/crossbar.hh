@@ -167,9 +167,6 @@ class Crossbar : public Clocked
         return outputs_[dst].headReady(now);
     }
 
-    /** Peek the deliverable packet at @p dst. */
-    const T &peek(unsigned dst) const { return outputs_[dst].front(); }
-
     /** Pop the deliverable packet at @p dst. */
     T eject(unsigned dst) { return outputs_[dst].pop(); }
 

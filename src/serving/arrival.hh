@@ -68,8 +68,6 @@ class ArrivalStream
     /** Closed loop: a launch of this tenant completed at @p now. */
     void onCompletion(Cycle now);
 
-    unsigned totalLaunches() const { return traffic_.launches; }
-
   private:
     TenantTraffic traffic_;
     /** Open loop: full precomputed schedule. */

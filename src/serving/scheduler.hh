@@ -7,13 +7,14 @@
  * policy is unit-testable on a toy queue without a Gpu. The
  * LaunchQueueScheduler wraps it as a Clocked component on the
  * TickEngine's core domain: each tick it (1) reaps completed
- * partitioned launches, (2) collects due arrivals from the
- * per-tenant ArrivalStreams, (3) admits queued launches while
- * capacity lasts — static MPS-style SM shares or dynamic
- * best-effort SM allocation, per GpuConfig::serving — and
- * (4) drives the per-launch block dispatch. Every decision is a
- * pure function of simulated time and device state, so serving
- * runs are byte-identical across `--jobs` and `--tick-jobs`.
+ * grids, (2) collects due arrivals from the per-tenant
+ * ArrivalStreams and (3) admits queued launches while capacity
+ * lasts — static MPS-style SM shares or dynamic best-effort SM
+ * allocation, per GpuConfig::serving — as grids on their SMs
+ * (Gpu::beginGrid), whose blocks the Gpu's dispatcher hands out
+ * from the next cycle on. Every decision is a pure function of
+ * simulated time and device state, so serving runs are
+ * byte-identical across `--jobs` and `--tick-jobs`.
  *
  * Policies (the `serving.policy` override key):
  *  - fifo:       strict arrival order; head-of-line blocking.
@@ -128,7 +129,7 @@ class LaunchQueueScheduler : public Clocked
   private:
     struct ActiveLaunch
     {
-        Gpu::LaunchId id = 0;
+        Gpu::GridId id = 0;
         unsigned tenant = 0;
         std::uint64_t seq = 0;
         Cycle arrival = 0;

@@ -108,73 +108,37 @@ ServingSession::ServingSession(Gpu &gpu,
     sched_ = std::make_unique<LaunchQueueScheduler>(
         gpu_, std::move(plans), std::move(streams), metrics_);
 
-    // Register on the core clock in the coordinator group (the
-    // scheduler mutates cross-SM state, exactly like the block
-    // dispatcher), with wake edges both ways: its tick dispatches
-    // blocks into SMs, and an SM's tick can complete a launch the
-    // scheduler must reap.
-    ClockDomain *core = gpu_.engine().findDomain("core");
-    GPULAT_ASSERT(core, "gpu engine has no core domain");
-    gpu_.engine().add(*core, *sched_);
-    for (unsigned s = 0; s < gpu_.config().numSms; ++s) {
-        gpu_.engine().link(*sched_, gpu_.sm(s));
-        gpu_.engine().link(gpu_.sm(s), *sched_);
-    }
+    // After the dispatcher: a grid admitted this tick receives
+    // blocks from the next cycle on, after its SMs have performed a
+    // real tick with the bound context. (Dispatching into an SM
+    // whose scheduled tick this cycle was skipped would make the
+    // lazily-flushed idle window non-idle, diverging per-cycle
+    // statistics between fast-forward modes.) Wake edges go both
+    // ways: an admission binds SMs, and an SM's tick can complete
+    // a grid the scheduler must reap.
+    gpu_.addCoreComponent(*sched_);
 }
 
 WorkloadResult
 ServingSession::run()
 {
-    TickEngine &engine = gpu_.engine();
-    const Cycle start = engine.now();
-    const auto issued = [&] {
-        std::uint64_t sum = 0;
-        for (unsigned s = 0; s < gpu_.config().numSms; ++s)
-            sum += gpu_.stats().counterValue(
-                "sm" + std::to_string(s) + ".issued");
-        return sum;
-    };
-    const std::uint64_t instr_before = issued();
-
-    // Same watchdog shape as Gpu::launch(): progress is measured in
-    // performed engine steps, and the signature folds in scheduler
-    // progress so a long but healthy queue drain never trips it.
-    const std::uint64_t stall_steps =
-        gpu_.config().engine.watchdogStallSteps;
-    const auto signature = [&] {
-        return gpu_.activitySignature() +
-               0x9e3779b97f4a7c15ull * sched_->progressSignature();
-    };
-    std::uint64_t last_sig = signature();
-    std::uint64_t last_progress_step = engine.steps();
-    std::uint64_t iters = 0;
-
-    while (!sched_->finished() || !gpu_.allDrained()) {
-        engine.step();
-        engine.fastForward();
-        if ((++iters & 0x3fffu) == 0) {
-            const std::uint64_t sig = signature();
-            if (sig != last_sig) {
-                last_sig = sig;
-                last_progress_step = engine.steps();
-            } else if (stall_steps != 0 &&
-                       engine.steps() - last_progress_step >
-                           stall_steps) {
-                panic(gpu_.stallReport("serving"));
-            }
-        }
-    }
-    engine.settle();
+    // The scheduler's progress folds into the watchdog signature so
+    // a long but healthy queue drain never trips it.
+    const LaunchResult run =
+        gpu_.run([&] { return sched_->finished(); },
+                 [&] { return sched_->progressSignature(); },
+                 "serving");
 
     WorkloadResult result;
-    result.cycles = engine.now() - start;
-    result.instructions = issued() - instr_before;
+    result.cycles = run.cycles;
+    result.instructions = run.instructions;
     result.launches =
         static_cast<unsigned>(sched_->completed());
     std::vector<double> weights;
     for (const auto &spec : specs_)
         weights.push_back(spec.weight);
-    result.metrics = metrics_.finalize(start, engine.now(), weights);
+    result.metrics =
+        metrics_.finalize(run.startCycle, run.endCycle, weights);
     result.correct = verify();
     return result;
 }

@@ -6,7 +6,7 @@
  * buffer and a small rotation of output buffers; its launches are
  * compute-stream-style FMA kernels (affine addressing). The
  * ServingSession wires a LaunchQueueScheduler into the Gpu's core
- * clock domain, runs the engine until every arrival is served and
+ * clock domain, runs Gpu::run() until every arrival is served and
  * the device drains, and verifies every touched output buffer
  * against a CPU reference.
  *

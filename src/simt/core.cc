@@ -91,6 +91,13 @@ SmCore::startLaunch(const LaunchContext *ctx)
     wokeSinceTick_ = true;
 }
 
+void
+SmCore::endLaunch()
+{
+    GPULAT_ASSERT(residentWarps_ == 0, "unbinding a busy SM");
+    ctx_ = nullptr;
+}
+
 bool
 SmCore::l1Caches(MemSpace space) const
 {

@@ -108,6 +108,9 @@ class SmCore : public Clocked
     /** Bind the SM to the current launch (invalidates nothing). */
     void startLaunch(const LaunchContext *ctx);
 
+    /** Unbind the launch before its context is freed (idle SM). */
+    void endLaunch();
+
     /** True if a block of the bound kernel fits right now. */
     bool canAcceptBlock() const;
 
@@ -148,9 +151,6 @@ class SmCore : public Clocked
 
     /** Cumulative cycles with resident warps but zero issue. */
     std::uint64_t idleCycles() const { return idleCum_; }
-
-    /** Loads issued but not yet written back. */
-    unsigned inflightLoads() const { return inflightCount_; }
 
     /** Memory requests this SM has created (local id pool size);
      *  the sum over SMs equals the old shared-counter value, so

@@ -397,7 +397,8 @@ TEST(SmParallelSafety, AtomicsArePartitionForwardedAndSafe)
     const SmParallelVerdict v = analyzeSmParallelSafety(
         b.finalize(), 8, 256, makeParams({0x1000}));
     EXPECT_TRUE(v.safe) << v.reason;
-    EXPECT_TRUE(v.atomicsForwarded);
+    ASSERT_EQ(v.accesses.size(), 1u);
+    EXPECT_TRUE(v.accesses[0].atomic);
     EXPECT_FALSE(v.hasStore); // atomics are not plain stores
 }
 

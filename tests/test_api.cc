@@ -124,30 +124,29 @@ TEST(ConfigOverride, IdleFastForwardForms)
 {
     GpuConfig cfg = makeConfig("gf106");
     EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain);
-    applyOverride(cfg, "idleFastForward=full");
-    EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Full);
+    applyOverride(cfg, "idleFastForward=off");
+    EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Off);
+    EXPECT_EQ(readOverride(cfg, "idleFastForward"), "off");
     applyOverride(cfg, "idleFastForward=perDomain");
     EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain);
     EXPECT_EQ(readOverride(cfg, "idleFastForward"), "perDomain");
-    applyOverride(cfg, "idleFastForward=off");
-    EXPECT_EQ(readOverride(cfg, "idleFastForward"), "off");
 
-    // Legacy boolean spellings: "on"/true was the whole-pipeline
-    // skip, which is now called full.
-    for (const char *legacy_on : {"on", "true", "1"}) {
-        applyOverride(cfg, std::string("idleFastForward=") +
-                               legacy_on);
-        EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Full)
-            << legacy_on;
+    // Only the two canonical spellings parse; the removed `full`
+    // mode and the old boolean and lower-case spellings fail by
+    // name and leave the config untouched.
+    for (const char *bad : {"full", "on", "true", "1", "false", "0",
+                            "perdomain", "per-domain", "perCore"}) {
+        try {
+            applyOverride(cfg, std::string("idleFastForward=") + bad);
+            ADD_FAILURE() << bad << " parsed";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("idleFastForward"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(cfg.idleFastForward, IdleFastForward::PerDomain)
+            << bad;
     }
-    for (const char *legacy_off : {"false", "0"}) {
-        applyOverride(cfg, std::string("idleFastForward=") +
-                               legacy_off);
-        EXPECT_EQ(cfg.idleFastForward, IdleFastForward::Off)
-            << legacy_off;
-    }
-    EXPECT_THROW(applyOverride(cfg, "idleFastForward=perCore"),
-                 FatalError);
 }
 
 TEST(ConfigOverride, ClockRatioForms)

@@ -442,14 +442,6 @@ TEST(TickEngine, FastForwardOnDrainedEngineReturnsZero)
     EXPECT_EQ(engine.now(), before);
     EXPECT_EQ(engine.skippedCycles(), 0u);
 
-    // Same in Full mode, which re-queries promises fresh.
-    TickEngine full;
-    full.setMode(IdleFastForward::Full);
-    ClockDomain &fcore = full.addDomain("core", ClockRatio{1, 1});
-    PokeTarget drained_c;
-    full.add(fcore, drained_c);
-    full.step();
-    EXPECT_EQ(full.fastForward(), 0u);
 }
 
 TEST(TickEngine, FastForwardSaturatesOverflowingPromises)
@@ -729,7 +721,7 @@ TEST(Engine, FastForwardIsCycleExactOnVecAdd)
     VecAdd wl_naive(o);
 
     GpuConfig on = smallGF106();
-    on.idleFastForward = IdleFastForward::Full;
+    on.idleFastForward = IdleFastForward::PerDomain;
     GpuConfig off = smallGF106();
     off.idleFastForward = IdleFastForward::Off;
 
@@ -767,7 +759,7 @@ TEST(Engine, FastForwardIsCycleExactOnBfs)
     Bfs wl_naive(o);
 
     GpuConfig on = smallGF106();
-    on.idleFastForward = IdleFastForward::Full;
+    on.idleFastForward = IdleFastForward::PerDomain;
     GpuConfig off = smallGF106();
     off.idleFastForward = IdleFastForward::Off;
 
@@ -854,7 +846,7 @@ TEST(Engine, SeedRegressionVecAddGK104)
     EXPECT_EQ(bd.totalByStage, expected);
 }
 
-// ----------------------------------- three-mode equivalence goldens
+// ------------------------------------- two-mode equivalence goldens
 
 /** Run one fresh workload instance under a given policy. */
 template <typename WorkloadT, typename Options>
@@ -866,21 +858,17 @@ runMode(const Options &options, GpuConfig cfg, IdleFastForward mode)
     return runWorkload(wl, std::move(cfg));
 }
 
-TEST(Engine, PerDomainMatchesFullAndOffOnVecAdd)
+TEST(Engine, PerDomainMatchesOffOnVecAdd)
 {
     VecAdd::Options o;
     o.n = 1 << 12;
     const RunCapture off = runMode<VecAdd>(o, smallGF106(),
                                            IdleFastForward::Off);
-    const RunCapture full = runMode<VecAdd>(o, smallGF106(),
-                                            IdleFastForward::Full);
     const RunCapture per = runMode<VecAdd>(
         o, smallGF106(), IdleFastForward::PerDomain);
 
-    expectIdenticalRuns(off, full);
     expectIdenticalRuns(off, per);
     EXPECT_EQ(off.compSkipped, 0u);
-    EXPECT_GT(per.compSkipped, full.compSkipped);
 }
 
 TEST(Engine, PerDomainMatchesUnderNonUnityRatios)
@@ -897,34 +885,24 @@ TEST(Engine, PerDomainMatchesUnderNonUnityRatios)
     o.scale = 9;
     o.degree = 8;
     const RunCapture off = runMode<Bfs>(o, cfg, IdleFastForward::Off);
-    const RunCapture full =
-        runMode<Bfs>(o, cfg, IdleFastForward::Full);
     const RunCapture per =
         runMode<Bfs>(o, cfg, IdleFastForward::PerDomain);
 
-    expectIdenticalRuns(off, full);
     expectIdenticalRuns(off, per);
-    EXPECT_GT(per.compSkipped, full.compSkipped);
 }
 
-TEST(Engine, PerDomainMatchesOnPchaseLadderAndSkipsMore)
+TEST(Engine, PerDomainMatchesOffOnPchaseLadder)
 {
     // The Table-I style idle-latency ladder: one footprint per
     // cache level. Latency-bound single-warp chases are where
     // per-domain skipping must shine — every level must be
-    // cycle/counter-identical across modes, and the per-domain
-    // stepper must provably skip more component ticks than the
-    // all-idle-only policy.
-    std::uint64_t full_skipped = 0;
-    std::uint64_t per_skipped = 0;
+    // cycle-identical across modes.
     for (const std::uint64_t footprint :
          {std::uint64_t{16} * 1024, std::uint64_t{256} * 1024,
           std::uint64_t{4} * 1024 * 1024}) {
         std::map<IdleFastForward, Cycle> cycles;
-        std::map<IdleFastForward, std::uint64_t> skipped;
         for (const IdleFastForward mode :
-             {IdleFastForward::Off, IdleFastForward::Full,
-              IdleFastForward::PerDomain}) {
+             {IdleFastForward::Off, IdleFastForward::PerDomain}) {
             GpuConfig cfg = smallGF106();
             cfg.idleFastForward = mode;
             Gpu gpu(std::move(cfg));
@@ -935,21 +913,11 @@ TEST(Engine, PerDomainMatchesOnPchaseLadderAndSkipsMore)
             pc.timedAccesses = 128;
             const PChaseResult r = runPointerChase(gpu, pc);
             cycles[mode] = r.timedCycles;
-            skipped[mode] = gpu.engine().componentTicksSkipped();
         }
-        EXPECT_EQ(cycles[IdleFastForward::Off],
-                  cycles[IdleFastForward::Full])
-            << footprint;
         EXPECT_EQ(cycles[IdleFastForward::Off],
                   cycles[IdleFastForward::PerDomain])
             << footprint;
-        EXPECT_GT(skipped[IdleFastForward::PerDomain],
-                  skipped[IdleFastForward::Full])
-            << footprint;
-        full_skipped += skipped[IdleFastForward::Full];
-        per_skipped += skipped[IdleFastForward::PerDomain];
     }
-    EXPECT_GT(per_skipped, full_skipped);
 }
 
 // --------------------------------- intra-sim parallel tick goldens

@@ -438,6 +438,139 @@ TEST(Gpu, WatchdogCountsStepsNotCycles)
     EXPECT_LT(gpu.engine().steps(), 20000u);
 }
 
+TEST(Gpu, WatchdogCatchesStalledGridInSharedRunLoop)
+{
+    // The same wedge as above, begun as a grid on one SM of two and
+    // driven through run() directly (the path serving takes): the
+    // report names the stalled grid's dispatch progress and SMs.
+    GpuConfig cfg = deadlockConfig();
+    cfg.numSms = 2;
+    Gpu gpu(std::move(cfg));
+    const Kernel k = sameLineLoadKernel();
+    const Addr buf = gpu.alloc(256);
+    const Gpu::GridId id = gpu.beginGrid(k, 1, 128, {buf}, {1});
+
+    std::string report;
+    try {
+        gpu.run([&] { return gpu.gridDone(id); }, nullptr, "grid test");
+        FAIL() << "wedged grid must panic";
+    } catch (const PanicError &e) {
+        report = e.what();
+    }
+    EXPECT_NE(report.find("no forward progress"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("(grid test)"), std::string::npos) << report;
+    EXPECT_NE(report.find("dispatched 1/1 blocks on 1 SMs"),
+              std::string::npos)
+        << report;
+}
+
+TEST(Gpu, ActivitySignatureIgnoresL2AccessCounter)
+{
+    // A stalled L2-queue head re-counts its access every cycle, so
+    // the counter must not read as progress to the watchdog.
+    Gpu gpu(testConfig());
+    const std::uint64_t before = gpu.activitySignature();
+    gpu.stats().counter("part0.l2_accesses").inc(5);
+    EXPECT_EQ(gpu.activitySignature(), before);
+}
+
+/** @p fn throws a FatalError whose message contains @p key. */
+template <typename Fn>
+void
+expectFatalNaming(Fn &&fn, const std::string &key)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "expected a FatalError naming " << key;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Gpu, RejectsConfigValuesThatCrashOrHang)
+{
+    // dramCmdInterval = 0 divides by zero in the DRAM side's tick;
+    // dramQueueSize = 0 leaves every L2 miss stuck at the queue head.
+    GpuConfig interval = testConfig();
+    interval.partition.dramCmdInterval = 0;
+    expectFatalNaming([&] { Gpu gpu(interval); },
+                      "partition.dramCmdInterval");
+
+    GpuConfig queue = testConfig();
+    queue.partition.dramQueueSize = 0;
+    expectFatalNaming([&] { Gpu gpu(queue); },
+                      "partition.dramQueueSize");
+}
+
+TEST(Gpu, RejectsGridsThatCanNeverBecomeResident)
+{
+    const Kernel k = sameLineLoadKernel(); // r1..r3
+    ASSERT_EQ(k.numRegs, 4);
+
+    GpuConfig no_blocks = testConfig();
+    no_blocks.sm.maxBlocksPerSm = 0;
+    Gpu a(no_blocks);
+    const Addr buf_a = a.alloc(256);
+    expectFatalNaming([&] { a.launch(k, 8, 32, {buf_a}); },
+                      "sm.maxBlocksPerSm");
+    expectFatalNaming([&] { a.beginGrid(k, 8, 32, {buf_a}, {0}); },
+                      "sm.maxBlocksPerSm");
+
+    // One warp of 4-register threads needs 128 registers.
+    GpuConfig few_regs = testConfig();
+    few_regs.sm.regsPerSm = 64;
+    Gpu b(few_regs);
+    const Addr buf_b = b.alloc(256);
+    expectFatalNaming([&] { b.launch(k, 8, 32, {buf_b}); },
+                      "sm.regsPerSm");
+    expectFatalNaming([&] { b.beginGrid(k, 8, 32, {buf_b}, {1}); },
+                      "sm.regsPerSm");
+}
+
+TEST(Gpu, BeginGridRejectsMalformedSmSets)
+{
+    Gpu gpu(testConfig()); // 2 SMs
+    const Kernel k = assemble("exit\n", "noop");
+    EXPECT_THROW(gpu.beginGrid(k, 1, 32, {}, {}), FatalError);
+    EXPECT_THROW(gpu.beginGrid(k, 1, 32, {}, {2}), FatalError);
+    EXPECT_THROW(gpu.beginGrid(k, 1, 32, {}, {1, 0, 1}), FatalError);
+
+    // A rejected begin leaves no grid behind: both SMs are free.
+    const Gpu::GridId id = gpu.beginGrid(k, 1, 32, {}, {0, 1});
+    gpu.run([&] { return gpu.gridDone(id); }, nullptr, "noop");
+    gpu.retireGrid(id);
+}
+
+TEST(Gpu, BeginGridRejectsSharingBesideAnActiveGrid)
+{
+    GpuConfig cfg = testConfig();
+    cfg.localBytesPerThread = 64;
+    Gpu gpu(cfg);
+    const Kernel noop = assemble("exit\n", "noop");
+    const Kernel local = assemble(R"(
+        mov r1, 8
+        st.local [r1], r1
+        exit
+    )", "local");
+
+    const Gpu::GridId first = gpu.beginGrid(noop, 1, 32, {}, {0});
+    // SM 0 belongs to the active grid, whichever path asks for it.
+    expectFatalNaming([&] { gpu.beginGrid(noop, 1, 32, {}, {0}); },
+                      "already owned by active grid");
+    expectFatalNaming([&] { gpu.launch(noop, 1, 32, {}); },
+                      "already owned by active grid");
+    // The single local-memory backing store is not shared.
+    expectFatalNaming([&] { gpu.beginGrid(local, 1, 32, {}, {1}); },
+                      "local memory");
+
+    gpu.run([&] { return gpu.gridDone(first); }, nullptr, "noop");
+    gpu.retireGrid(first);
+    // Alone, the local-memory kernel runs.
+    EXPECT_GT(gpu.launch(local, 2, 32, {}).cycles, 0u);
+}
+
 TEST(Gpu, RejectsOversizedBlock)
 {
     Gpu gpu(testConfig());
