@@ -191,7 +191,8 @@ SmCore::globalThreadId(const Warp &warp, unsigned lane) const
 Addr
 SmCore::localPhys(Addr offset, std::uint64_t gtid) const
 {
-    if (offset + 8 > ctx_->localBytesPerThread)
+    if (offset > ctx_->localBytesPerThread ||
+        8 > ctx_->localBytesPerThread - offset)
         fatal("local memory access at offset ", offset,
               " exceeds per-thread allocation of ",
               ctx_->localBytesPerThread);
@@ -499,7 +500,8 @@ SmCore::execSharedMem(Warp &warp, const Instruction &inst,
             continue;
         const Addr addr = warp.reg(lane, inst.srcA) +
                           static_cast<Addr>(inst.imm);
-        if (addr + 8 > block.sharedMem.size())
+        if (addr > block.sharedMem.size() ||
+            8 > block.sharedMem.size() - addr)
             fatal("shared memory access at ", addr, " exceeds ",
                   block.sharedMem.size(), " bytes");
         addrs[lane] = addr;

@@ -4,10 +4,28 @@
  * invariants, and launch-time validation.
  */
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "gpu/gpu.hh"
 #include "isa/assembler.hh"
+
+// Sanitizer allocators abort on a request they cannot serve unless
+// told to return null as libc's does; UnreservableDeviceMemoryIsFatal
+// needs the null.
+extern "C" const char *
+__asan_default_options()
+{
+    return "allocator_may_return_null=1";
+}
+
+extern "C" const char *
+__tsan_default_options()
+{
+    return "allocator_may_return_null=1";
+}
 
 namespace gpulat {
 namespace {
@@ -82,18 +100,73 @@ TEST(LaunchValidation, DeviceMemoryExhaustionIsFatal)
     Gpu gpu(cfg);
     gpu.alloc(512 * 1024);
     EXPECT_THROW(gpu.alloc(1024 * 1024), FatalError);
+    // A size whose end wraps past 2^64 back inside the store, and an
+    // alignment past its end; neither may move the break.
+    EXPECT_THROW(gpu.alloc(~std::uint64_t{0} - 127), FatalError);
+    EXPECT_THROW(gpu.alloc(64, std::uint64_t{1} << 63), FatalError);
+    EXPECT_EQ(gpu.memory().allocated(), 512u * 1024);
+}
+
+TEST(LaunchValidation, UnreservableDeviceMemoryIsFatal)
+{
+    // 2^62 bytes exceed any 64-bit address space, so the reservation
+    // fails without committing memory.
+    GpuConfig cfg = makeGF106();
+    cfg.deviceMemBytes = std::uint64_t{1} << 62;
+    try {
+        Gpu gpu(cfg);
+        FAIL() << "a 2^62-byte device memory was reserved";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("deviceMemBytes"), std::string::npos) << what;
+        EXPECT_NE(what.find("4611686018427387904"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(LaunchValidation, OutOfRangeAccessIsFatal)
 {
-    Gpu gpu(makeGF106());
-    const Kernel k = assemble(R"(
-        mov r1, 0x40000000
-        ld.global r2, [r1]
-        st.global [r1], r2
-        exit
-    )");
-    EXPECT_THROW(gpu.launch(k, 1, 1, {}), FatalError);
+    // The last five start 4 bytes below address 0: addr + 8 wraps
+    // past 2^64, so a check of the form addr + 8 > size lets them by.
+    for (const char *src : {
+             R"(
+                 mov r1, 0x40000000
+                 ld.global r2, [r1]
+                 st.global [r1], r2
+                 exit
+             )",
+             R"(
+                 mov r1, -4
+                 ld.global r2, [r1]
+                 exit
+             )",
+             R"(
+                 mov r1, -4
+                 st.global [r1], r1
+                 exit
+             )",
+             R"(
+                 mov r1, -4
+                 mov r2, 1
+                 atom.add r3, [r1], r2
+                 exit
+             )",
+             R"(
+                 .shared 64
+                 mov r1, -4
+                 ld.shared r2, [r1]
+                 exit
+             )",
+             R"(
+                 mov r1, -4
+                 st.local [r1], r1
+                 exit
+             )"}) {
+        SCOPED_TRACE(src);
+        Gpu gpu(makeGF106());
+        const Kernel k = assemble(src);
+        EXPECT_THROW(gpu.launch(k, 1, 1, {}), FatalError);
+    }
 }
 
 TEST(LaunchValidation, LocalOverflowIsFatal)

@@ -5,7 +5,10 @@
  */
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -569,6 +572,37 @@ TEST(Gpu, BeginGridRejectsSharingBesideAnActiveGrid)
     gpu.retireGrid(first);
     // Alone, the local-memory kernel runs.
     EXPECT_GT(gpu.launch(local, 2, 32, {}).cycles, 0u);
+}
+
+/** Resident set size in bytes from /proc/self/statm, or -1. */
+long long
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    long long pages = 0, resident = 0;
+    if (!(statm >> pages >> resident))
+        return -1;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(Gpu, ConstructionCommitsNoDeviceMemory)
+{
+    const long long before = residentBytes();
+    Gpu gpu(makeGF100Sim());
+    const long long after = residentBytes();
+
+    // A never-written word reads 0, even at the top of the store.
+    ASSERT_EQ(gpu.memory().size(), 512ull * 1024 * 1024);
+    EXPECT_EQ(gpu.memory().read64(gpu.memory().size() - 8), 0u);
+
+#ifdef __SANITIZE_THREAD__
+    GTEST_SKIP() << "TSan's calloc zero-fills every byte";
+#endif
+    if (before < 0 || after < 0)
+        GTEST_SKIP() << "/proc/self/statm is unreadable";
+    EXPECT_LT(after - before, 32ll * 1024 * 1024)
+        << "constructing a 512 MiB Gpu made " << (after - before)
+        << " bytes resident";
 }
 
 TEST(Gpu, RejectsOversizedBlock)
