@@ -15,7 +15,6 @@
 #include "latency/breakdown.hh"
 #include "latency/exposure.hh"
 #include "latency/summary.hh"
-#include "microbench/table1.hh"
 
 namespace gpulat {
 
@@ -115,15 +114,6 @@ sameRecordPerCell(const Records &records)
 
 // ------------------------------------------------------------ Table I
 
-/** One Table-I probe: a pchase cell pinned to one memory level. */
-struct Table1Probe
-{
-    std::string gpu;
-    std::string unit;   ///< "L1 D$" / "L2 D$" / "DRAM"
-    double paperCycles; ///< the paper's value (0 = "x")
-    ExperimentSpec spec;
-};
-
 /** Acceptable relative deviation from the paper's cycle counts. */
 constexpr double kTable1Tolerance = 0.10;
 
@@ -139,7 +129,7 @@ probeSpec(const GpuConfig &cfg, const char *space,
          "timedAccesses=1024",
          warmup ? "warmup=true" : "warmup=false"});
     // Local chases need the per-thread local window to hold the
-    // whole chain (same adjustment sweepFootprints() makes).
+    // whole chain.
     if (std::string(space) == "local") {
         s.overrides = {"localBytesPerThread=" +
                        std::to_string(footprint)};
@@ -147,11 +137,13 @@ probeSpec(const GpuConfig &cfg, const char *space,
     return s;
 }
 
+} // namespace
+
 /**
- * The probe plan, derived from each preset's cache topology like
- * measureGeneration(): a half-capacity footprint pins the chase to
- * one hierarchy level; beyond the last cache the (cold) chase skips
- * its warm-up traversal.
+ * The plan is derived from each preset's cache topology: a
+ * half-capacity footprint pins the chase to one hierarchy level;
+ * beyond the last cache the (cold) chase skips its warm-up
+ * traversal.
  */
 const std::vector<Table1Probe> &
 table1Probes()
@@ -194,6 +186,8 @@ table1Probes()
     }();
     return probes;
 }
+
+namespace {
 
 /** The probe a pchase record measured, or null. */
 const Table1Probe *
@@ -241,24 +235,41 @@ table1WithinTolerance(const Records &records)
     return result;
 }
 
+/**
+ * The probes' cycles laid out like the paper's table: one column
+ * per preset, rows L1/L2/DRAM, "x" where a preset has no such level.
+ */
 void
 table1View(std::ostream &os, const Records &records)
 {
-    std::vector<Table1Column> columns;
+    const std::vector<std::string> units{"L1 D$", "L2 D$", "DRAM"};
+    std::vector<std::string> header{"Unit"};
+    std::vector<std::vector<std::string>> rows;
+    for (const std::string &unit : units)
+        rows.push_back({unit});
     for (const ExperimentRecord &rec : records) {
         const Table1Probe *probe = findProbe(rec);
         if (!probe)
             continue;
-        if (columns.empty() || columns.back().gpu != rec.gpu)
-            columns.push_back(Table1Column{rec.gpu, {}, {}, {}});
+        if (header.back() != rec.gpu) {
+            header.push_back(rec.gpu);
+            for (auto &row : rows)
+                row.push_back("x");
+        }
+        // Integral latencies print without the trailing ".0".
         const double cycles = rec.metric("pchase_cycles_per_access");
-        Table1Column &column = columns.back();
-        (probe->unit == "L1 D$"   ? column.l1
-         : probe->unit == "L2 D$" ? column.l2
-                                  : column.dram) = cycles;
+        const auto unit =
+            std::find(units.begin(), units.end(), probe->unit);
+        rows[static_cast<std::size_t>(unit - units.begin())].back() =
+            cycles == std::round(cycles)
+            ? std::to_string(static_cast<long long>(cycles))
+            : formatDouble(cycles, 1);
     }
+    TextTable table(header);
+    for (auto &row : rows)
+        table.addRow(std::move(row));
     os << "\n";
-    printTable1(os, columns);
+    table.print(os);
 }
 
 // ------------------------------------------------------------ serving

@@ -80,6 +80,28 @@ struct BenchSuite
     std::function<void(std::ostream &, const Records &)> view = {};
 };
 
+/**
+ * One Table-I probe: a `pchase` cell pinned to one memory level of
+ * one preset by its footprint (the method of Wong et al.,
+ * "Demystifying GPU Microarchitecture through Microbenchmarking",
+ * ISPASS 2010).
+ */
+struct Table1Probe
+{
+    std::string gpu;
+    std::string unit;   ///< "L1 D$" / "L2 D$" / "DRAM"
+    double paperCycles; ///< the paper's value (0 = "x")
+    ExperimentSpec spec;
+};
+
+/**
+ * The Table-I probe plan, the `table1` suite's cells: per preset in
+ * Table-I order, one probe per memory level its cache topology
+ * exposes (Kepler's L1 through local space only), each carrying the
+ * paper's cycle count.
+ */
+const std::vector<Table1Probe> &table1Probes();
+
 /** Every suite, in `gpulat bench --list` order. */
 const std::vector<BenchSuite> &benchSuites();
 

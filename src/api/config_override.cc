@@ -11,7 +11,7 @@
 namespace gpulat {
 
 ClockRatio
-parseClockRatio(const std::string &text)
+parseClockRatio(const std::string &text, const std::string &key)
 {
     // Accept "M/D", "M:D" or a bare "M" (meaning M/1).
     auto sep = text.find('/');
@@ -21,7 +21,7 @@ parseClockRatio(const std::string &text)
         sep == std::string::npos ? text : text.substr(0, sep);
     const std::string div_s =
         sep == std::string::npos ? "1" : text.substr(sep + 1);
-    const std::string what = "clock ratio '" + text +
+    const std::string what = key + " '" + text +
         "' (expected M/D, M:D or M with M,D > 0)";
     const unsigned max = std::numeric_limits<unsigned>::max();
     const std::uint64_t mul = parseUnsigned(mul_s, what, max, 10);
@@ -59,7 +59,7 @@ parseValue(const std::string &path, const std::string &text, T &dst)
     } else if constexpr (std::is_same_v<T, std::string>) {
         dst = text;
     } else if constexpr (std::is_same_v<T, ClockRatio>) {
-        dst = parseClockRatio(text);
+        dst = parseClockRatio(text, path);
     } else if constexpr (std::is_same_v<T, IdleFastForward>) {
         if (text == "off")
             dst = IdleFastForward::Off;
@@ -88,11 +88,6 @@ parseValue(const std::string &path, const std::string &text, T &dst)
         if (text == "open") dst = DramPagePolicy::Open;
         else if (text == "closed") dst = DramPagePolicy::Closed;
         else fatal(path, ": '", text, "' is not open|closed");
-    } else if constexpr (std::is_same_v<T, WritePolicy>) {
-        if (text == "writethrough") dst = WritePolicy::WriteThrough;
-        else if (text == "writeback") dst = WritePolicy::WriteBack;
-        else fatal(path, ": '", text,
-                   "' is not writethrough|writeback");
     } else if constexpr (std::is_same_v<T, ReplPolicy>) {
         if (text == "lru") dst = ReplPolicy::LRU;
         else if (text == "fifo") dst = ReplPolicy::FIFO;
@@ -136,9 +131,6 @@ formatValue(const T &v)
                          std::is_same_v<T, DramAddrMap> ||
                          std::is_same_v<T, DramPagePolicy>) {
         return toString(v);
-    } else if constexpr (std::is_same_v<T, WritePolicy>) {
-        return v == WritePolicy::WriteThrough ? "writethrough"
-                                              : "writeback";
     } else if constexpr (std::is_same_v<T, ReplPolicy>) {
         return v == ReplPolicy::LRU ? "lru" : "fifo";
     } else if constexpr (std::is_same_v<T, ServePolicy>) {
@@ -224,12 +216,9 @@ buildKeys()
         GPULAT_CFG_KEY(sm.l1MshrMaxMerge, "uint"),
         GPULAT_CFG_KEY(sm.l1MissQueueSize, "uint"),
         GPULAT_CFG_KEY(sm.l1Cache.capacityBytes, "bytes"),
-        GPULAT_CFG_KEY(sm.l1Cache.lineBytes, "bytes"),
         GPULAT_CFG_KEY(sm.l1Cache.ways, "uint"),
         GPULAT_CFG_KEY(sm.l1Cache.repl, "lru|fifo"),
-        GPULAT_CFG_KEY(sm.l1Cache.write, "writethrough|writeback"),
 
-        GPULAT_CFG_KEY(partition.lineBytes, "bytes"),
         GPULAT_CFG_KEY(partition.ropQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.ropLatency, "cycles"),
         GPULAT_CFG_KEY(partition.l2Enabled, "bool"),
@@ -240,14 +229,10 @@ buildKeys()
         GPULAT_CFG_KEY(partition.l2MshrEntries, "uint"),
         GPULAT_CFG_KEY(partition.l2MshrMaxMerge, "uint"),
         GPULAT_CFG_KEY(partition.l2Cache.capacityBytes, "bytes"),
-        GPULAT_CFG_KEY(partition.l2Cache.lineBytes, "bytes"),
         GPULAT_CFG_KEY(partition.l2Cache.ways, "uint"),
         GPULAT_CFG_KEY(partition.l2Cache.repl, "lru|fifo"),
-        GPULAT_CFG_KEY(partition.l2Cache.write,
-                       "writethrough|writeback"),
         GPULAT_CFG_KEY(partition.dramQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.sched, "fcfs|frfcfs"),
-        GPULAT_CFG_KEY(partition.dramStarvationLimit, "cycles"),
         GPULAT_CFG_KEY(partition.dramCmdInterval, "cycles"),
         GPULAT_CFG_KEY(partition.returnQueueSize, "uint"),
         GPULAT_CFG_KEY(partition.returnQueueLatency, "cycles"),
@@ -261,8 +246,7 @@ buildKeys()
 
         // Memory-fidelity axes live under a stable `mem.` namespace
         // (sweep specs shouldn't depend on which struct holds the
-        // knob; starveLimit also aliases the historical
-        // partition.dramStarvationLimit spelling).
+        // knob).
         makeKey("mem.dram.model", "simple|ddr",
                 [](GpuConfig &c) -> auto & {
                     return c.partition.dram.model;

@@ -45,7 +45,8 @@ std::string readOverride(const GpuConfig &cfg,
                          const std::string &path);
 
 /** @name Value codecs (exposed for tests) @{ */
-ClockRatio parseClockRatio(const std::string &text);
+ClockRatio parseClockRatio(const std::string &text,
+                           const std::string &key);
 std::string formatClockRatio(ClockRatio ratio);
 /** @} */
 

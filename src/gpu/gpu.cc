@@ -1,6 +1,7 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -12,14 +13,14 @@ namespace gpulat {
 namespace {
 
 void
-validateRatio(const char *what, ClockRatio ratio)
+validateRatio(const char *key, ClockRatio ratio)
 {
     if (ratio.mul == 0 || ratio.div == 0)
-        fatal(what, " clock ratio must be positive (got ", ratio.mul,
-              ":", ratio.div, ")");
+        fatal(key, " = ", ratio.mul, "/", ratio.div,
+              " must be positive");
     if (ratio.mul > 64 || ratio.div > 64)
-        fatal(what, " clock ratio ", ratio.mul, ":", ratio.div,
-              " out of the supported [1/64, 64] range");
+        fatal(key, " = ", ratio.mul, "/", ratio.div,
+              " is out of the supported [1/64, 64] range");
 }
 
 /**
@@ -37,22 +38,92 @@ toCoreCycles(Cycle domain_cycles, ClockRatio ratio)
     return ClockDomain::tickCycle(domain_cycles, ratio);
 }
 
+void
+requirePositive(const std::string &key, std::uint64_t value)
+{
+    if (value == 0)
+        fatal(key, " must be positive");
+}
+
+/** An enabled cache needs a power-of-two set count. */
+void
+validateCache(const std::string &key, const CacheParams &cache,
+              std::uint32_t line_bytes)
+{
+    requirePositive(key + ".capacityBytes", cache.capacityBytes);
+    requirePositive(key + ".ways", cache.ways);
+    if (!std::has_single_bit(cache.capacityBytes / line_bytes /
+                             cache.ways))
+        fatal(key, ".capacityBytes (", cache.capacityBytes,
+              ") / sm.lineBytes (", line_bytes, ") / ", key, ".ways (",
+              cache.ways, ") must be a power of two");
+}
+
 /**
  * Validate the clock ratios before anything derives values from
  * them — runs on the config as the very first member initializer,
- * ahead of the toCoreCycles() uses in the init list — and reject
- * values the partition model would divide by or wedge on.
+ * ahead of the toCoreCycles() uses in the init list — and reject,
+ * by config key, every value a component would divide by, wedge on
+ * or assert against.
  */
 GpuConfig
 validatedConfig(GpuConfig config)
 {
-    validateRatio("icnt", config.icntClock);
-    validateRatio("l2", config.l2Clock);
-    validateRatio("dram", config.dramClock);
-    if (config.partition.dramCmdInterval == 0)
-        fatal("partition.dramCmdInterval must be positive");
-    if (config.partition.dramQueueSize == 0)
-        fatal("partition.dramQueueSize must be positive");
+    validateRatio("icntClock", config.icntClock);
+    validateRatio("l2Clock", config.l2Clock);
+    validateRatio("dramClock", config.dramClock);
+
+    requirePositive("numSms", config.numSms);
+    requirePositive("numPartitions", config.numPartitions);
+    requirePositive("icntInQueue", config.icntInQueue);
+    requirePositive("icntOutQueue", config.icntOutQueue);
+
+    const SmParams &sm = config.sm;
+    if (!std::has_single_bit(sm.lineBytes))
+        fatal("sm.lineBytes (", sm.lineBytes,
+              ") must be a power of two");
+    requirePositive("sm.numSchedulers", sm.numSchedulers);
+    requirePositive("sm.lsuQueueSize", sm.lsuQueueSize);
+    requirePositive("sm.l1MissQueueSize", sm.l1MissQueueSize);
+    requirePositive("sm.l1MshrEntries", sm.l1MshrEntries);
+    requirePositive("sm.l1MshrMaxMerge", sm.l1MshrMaxMerge);
+    requirePositive("sm.smemBanks", sm.smemBanks);
+    if (sm.l1Enabled)
+        validateCache("sm.l1Cache", sm.l1Cache, sm.lineBytes);
+
+    const PartitionParams &part = config.partition;
+    requirePositive("partition.ropQueueSize", part.ropQueueSize);
+    requirePositive("partition.l2QueueSize", part.l2QueueSize);
+    requirePositive("partition.returnQueueSize", part.returnQueueSize);
+    requirePositive("partition.l2MshrEntries", part.l2MshrEntries);
+    requirePositive("partition.l2MshrMaxMerge", part.l2MshrMaxMerge);
+    requirePositive("mem.mshr.banks", part.l2MshrBanks);
+    if (part.l2MshrBankEntries == 0 &&
+        part.l2MshrEntries < part.l2MshrBanks)
+        fatal("mem.mshr.banks (", part.l2MshrBanks,
+              ") leaves no entries per bank of partition.l2MshrEntries (",
+              part.l2MshrEntries, ")");
+    requirePositive("partition.dramCmdInterval", part.dramCmdInterval);
+    requirePositive("partition.dramQueueSize", part.dramQueueSize);
+    if (part.l2Enabled)
+        validateCache("partition.l2Cache", part.l2Cache, sm.lineBytes);
+
+    const DramParams &dram = part.dram;
+    requirePositive("partition.dram.banks", dram.banks);
+    requirePositive("partition.dram.rowBytes", dram.rowBytes);
+    requirePositive("mem.dram.ranks", dram.ranks);
+    requirePositive("mem.dram.bankGroups", dram.bankGroups);
+    if (dram.banks % dram.bankGroups != 0)
+        fatal("mem.dram.bankGroups (", dram.bankGroups,
+              ") must divide partition.dram.banks (", dram.banks, ")");
+    // Compared in core cycles: scaling can round the two together.
+    if (dram.model == DramModel::Ddr && dram.ddr.tREFI != 0 &&
+        toCoreCycles(dram.ddr.tRFC, config.dramClock) >=
+            toCoreCycles(dram.ddr.tREFI, config.dramClock))
+        fatal("mem.dram.tRFC (", dram.ddr.tRFC,
+              ") must be shorter than mem.dram.tREFI (", dram.ddr.tREFI,
+              ") at dramClock ", config.dramClock.mul, "/",
+              config.dramClock.div);
     return config;
 }
 
@@ -101,6 +172,7 @@ Gpu::Gpu(GpuConfig config)
       rng_(config_.seed)
 {
     PartitionParams part_params = config_.partition;
+    part_params.lineBytes = config_.sm.lineBytes;
     part_params.interleaveDivisor = config_.numPartitions;
     part_params.dramClock = config_.dramClock;
     scalePartitionLatencies(part_params, config_.l2Clock,
@@ -346,12 +418,13 @@ Gpu::validateGrid(const Kernel &kernel, unsigned num_blocks,
         fatal("launch of '", kernel.name, "' with empty grid/block");
     if (threads_per_block > config_.sm.warpSlots * kWarpSize)
         fatal("block of ", threads_per_block,
-              " threads exceeds SM capacity");
+              " threads exceeds the SM's sm.warpSlots = ",
+              config_.sm.warpSlots, " warps");
     if (num_params > kMaxParams)
         fatal("too many kernel parameters");
     if (kernel.sharedBytes > config_.sm.smemPerSm)
         fatal("kernel shared memory ", kernel.sharedBytes,
-              " exceeds SM capacity ", config_.sm.smemPerSm);
+              " exceeds sm.smemPerSm = ", config_.sm.smemPerSm);
     // The rest of SmCore::canAcceptBlock()'s rule: a block that
     // fails it on an empty SM would never become resident.
     if (config_.sm.maxBlocksPerSm == 0)

@@ -6,28 +6,10 @@
 
 namespace gpulat {
 
-namespace {
-
-/** Baseline every preset starts from. */
-GpuConfig
-baseConfig()
-{
-    GpuConfig cfg;
-    cfg.sm.lineBytes = 128;
-    cfg.sm.l1Cache.lineBytes = 128;
-    cfg.partition.lineBytes = 128;
-    cfg.partition.l2Cache.lineBytes = 128;
-    cfg.partition.l2Cache.write = WritePolicy::WriteBack;
-    cfg.sm.l1Cache.write = WritePolicy::WriteThrough;
-    return cfg;
-}
-
-} // namespace
-
 GpuConfig
 makeGF106()
 {
-    GpuConfig cfg = baseConfig();
+    GpuConfig cfg;
     cfg.name = "gf106";
     cfg.numSms = 4;
     cfg.numPartitions = 2;
@@ -70,7 +52,7 @@ makeGF106()
 GpuConfig
 makeGT200()
 {
-    GpuConfig cfg = baseConfig();
+    GpuConfig cfg;
     cfg.name = "gt200";
     cfg.numSms = 4;
     cfg.numPartitions = 4;
@@ -104,7 +86,7 @@ makeGT200()
 GpuConfig
 makeGK104()
 {
-    GpuConfig cfg = baseConfig();
+    GpuConfig cfg;
     cfg.name = "gk104";
     cfg.numSms = 8;
     cfg.numPartitions = 4;
@@ -148,7 +130,7 @@ makeGK104()
 GpuConfig
 makeGM107()
 {
-    GpuConfig cfg = baseConfig();
+    GpuConfig cfg;
     cfg.name = "gm107";
     cfg.numSms = 5;
     cfg.numPartitions = 2;

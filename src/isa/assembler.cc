@@ -3,6 +3,7 @@
 #include <cctype>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hh"
@@ -59,45 +60,19 @@ tokenize(std::string text)
     return tokens;
 }
 
-/** Parse "rN" -> N. */
+/**
+ * Parse @p prefix followed by a decimal index ("r12" -> 12, "p0",
+ * "param3"). Nine digits always fit an int; any index that large is
+ * out of range for the builder to reject.
+ */
 std::optional<int>
-parseReg(const std::string &tok)
+parseIndexed(const std::string &tok, std::string_view prefix)
 {
-    if (tok.size() < 2 || tok[0] != 'r' ||
-        !std::isdigit(static_cast<unsigned char>(tok[1])))
+    if (tok.size() <= prefix.size() || tok.size() > prefix.size() + 9 ||
+        tok.compare(0, prefix.size(), prefix) != 0)
         return std::nullopt;
     int v = 0;
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-            return std::nullopt;
-        v = v * 10 + (tok[i] - '0');
-    }
-    return v;
-}
-
-/** Parse "pN" -> N. */
-std::optional<int>
-parsePred(const std::string &tok)
-{
-    if (tok.size() < 2 || tok[0] != 'p')
-        return std::nullopt;
-    int v = 0;
-    for (std::size_t i = 1; i < tok.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-            return std::nullopt;
-        v = v * 10 + (tok[i] - '0');
-    }
-    return v;
-}
-
-/** Parse "paramN" -> N. */
-std::optional<int>
-parseParam(const std::string &tok)
-{
-    if (tok.rfind("param", 0) != 0 || tok.size() == 5)
-        return std::nullopt;
-    int v = 0;
-    for (std::size_t i = 5; i < tok.size(); ++i) {
+    for (std::size_t i = prefix.size(); i < tok.size(); ++i) {
         if (!std::isdigit(static_cast<unsigned char>(tok[i])))
             return std::nullopt;
         v = v * 10 + (tok[i] - '0');
@@ -117,7 +92,7 @@ parseImm(const std::string &tok)
         pos = 1;
     if (pos >= tok.size())
         return std::nullopt;
-    int base = 10;
+    unsigned base = 10;
     if (tok.compare(pos, 2, "0x") == 0 || tok.compare(pos, 2, "0X") == 0)
     {
         base = 16;
@@ -125,20 +100,24 @@ parseImm(const std::string &tok)
         if (pos >= tok.size())
             return std::nullopt;
     }
-    std::int64_t v = 0;
+    // The magnitude must fit 64 bits; the value is its two's
+    // complement bit pattern, so 0xfffffffffffffffc is -4.
+    std::uint64_t v = 0;
     for (; pos < tok.size(); ++pos) {
         char ch = static_cast<char>(
             std::tolower(static_cast<unsigned char>(tok[pos])));
-        int digit;
+        unsigned digit;
         if (ch >= '0' && ch <= '9')
-            digit = ch - '0';
+            digit = static_cast<unsigned>(ch - '0');
         else if (base == 16 && ch >= 'a' && ch <= 'f')
-            digit = ch - 'a' + 10;
+            digit = static_cast<unsigned>(ch - 'a' + 10);
         else
+            return std::nullopt;
+        if (v > (UINT64_MAX - digit) / base)
             return std::nullopt;
         v = v * base + digit;
     }
-    return neg ? -v : v;
+    return static_cast<std::int64_t>(neg ? 0 - v : v);
 }
 
 std::optional<SpecialReg>
@@ -258,7 +237,7 @@ class Parser
     int
     expectReg(const Line &line, const std::string &tok)
     {
-        auto r = parseReg(tok);
+        auto r = parseIndexed(tok, "r");
         if (!r)
             syntaxError(line.number, "expected register, got '" + tok +
                                      "'");
@@ -299,7 +278,7 @@ class Parser
 
         auto plus = expr.find_first_of("+-", 1);
         std::string reg_part = expr.substr(0, plus);
-        auto reg = parseReg(reg_part);
+        auto reg = parseIndexed(reg_part, "r");
         if (!reg)
             syntaxError(line.number,
                         "bad address base '" + reg_part + "'");
@@ -358,7 +337,7 @@ class Parser
             bool neg = !g.empty() && g[0] == '!';
             if (neg)
                 g = g.substr(1);
-            auto p = parsePred(g);
+            auto p = parseIndexed(g, "p");
             if (!p)
                 syntaxError(line.number, "bad guard '" + toks[i] + "'");
             builder.pred(*p, neg);
@@ -382,9 +361,9 @@ class Parser
                 syntaxError(line.number, "mov rd, src");
             int rd = expectReg(line, toks[i]);
             const std::string &src = toks[i + 1];
-            if (auto param = parseParam(src)) {
+            if (auto param = parseIndexed(src, "param")) {
                 builder.movParam(rd, *param);
-            } else if (auto rs = parseReg(src)) {
+            } else if (auto rs = parseIndexed(src, "r")) {
                 builder.movReg(rd, *rs);
             } else if (auto imm = parseImm(src)) {
                 builder.movImm(rd, *imm);
@@ -433,12 +412,12 @@ class Parser
                             "setp needs .eq/.ne/.lt/.le/.gt/.ge");
             if (remaining() != 3)
                 syntaxError(line.number, "setp.cc pd, ra, b");
-            auto pd = parsePred(toks[i]);
+            auto pd = parseIndexed(toks[i], "p");
             if (!pd)
                 syntaxError(line.number,
                             "bad predicate '" + toks[i] + "'");
             int ra = expectReg(line, toks[i + 1]);
-            if (auto rb = parseReg(toks[i + 2]))
+            if (auto rb = parseIndexed(toks[i + 2], "r"))
                 builder.setp(*cmp, *pd, ra, *rb);
             else
                 builder.setpImm(*cmp, *pd, ra,
@@ -486,7 +465,7 @@ class Parser
                 syntaxError(line.number, op + " rd, ra, b");
             int rd = expectReg(line, toks[i]);
             int ra = expectReg(line, toks[i + 1]);
-            if (auto rb = parseReg(toks[i + 2]))
+            if (auto rb = parseIndexed(toks[i + 2], "r"))
                 builder.alu(*alu_op, rd, ra, *rb);
             else
                 builder.aluImm(*alu_op, rd, ra,

@@ -55,7 +55,7 @@ class DeviceMemory
         if (pad > size_ - brk_ || bytes > size_ - brk_ - pad)
             fatal("device memory exhausted: want ", bytes,
                   " bytes aligned to ", align, " after ", brk_,
-                  ", have ", size_);
+                  " of deviceMemBytes = ", size_);
         const Addr base = brk_ + pad;
         brk_ = base + bytes;
         return base;

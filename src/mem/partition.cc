@@ -29,8 +29,11 @@ MemPartition::MemPartition(unsigned id, const PartitionParams &params,
 {
     const std::string prefix = "part" + std::to_string(id);
     if (params_.l2Enabled) {
-        l2_ = std::make_unique<Cache>(prefix + ".l2", params_.l2Cache,
-                                      stats);
+        // Write-back: tickL2Queue() absorbs write hits.
+        CacheParams l2 = params_.l2Cache;
+        l2.lineBytes = params_.lineBytes;
+        l2.write = WritePolicy::WriteBack;
+        l2_ = std::make_unique<Cache>(prefix + ".l2", l2, stats);
     }
     l2Accesses_ = &stats->counter(prefix + ".l2_accesses");
     mshrBankConflicts_ =

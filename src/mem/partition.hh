@@ -38,6 +38,7 @@ namespace gpulat {
 /** Everything a partition needs to know about itself. */
 struct PartitionParams
 {
+    /** Line size (set by the owning Gpu from sm.lineBytes). */
     std::uint32_t lineBytes = 128;
 
     /** Number of partitions interleaving the address space (used to
@@ -48,6 +49,8 @@ struct PartitionParams
     Cycle ropLatency = 16;
 
     bool l2Enabled = true;
+    /** Capacity, ways and replacement of the L2 slice; its line is
+     *  lineBytes and it writes back (MemPartition sets both). */
     CacheParams l2Cache;
     std::size_t l2QueueSize = 16;
     Cycle l2QueueLatency = 1;
@@ -65,7 +68,7 @@ struct PartitionParams
 
     std::size_t dramQueueSize = 32;
     DramSchedPolicy sched = DramSchedPolicy::FRFCFS;
-    /** FR-FCFS anti-starvation age (cycles). */
+    /** FR-FCFS anti-starvation age (cycles; key mem.dram.starveLimit). */
     Cycle dramStarvationLimit = 768;
     DramParams dram;
     /** DRAM-domain ticks between scheduling decisions (== core

@@ -55,8 +55,12 @@ SmCore::SmCore(const SmParams &params, DeviceMemory *dmem,
 
     const std::string prefix = "sm" + std::to_string(params_.smId);
     if (params_.l1Enabled) {
-        l1_ = std::make_unique<Cache>(prefix + ".l1", params_.l1Cache,
-                                      stats_);
+        // Write-through, so fill victims are never dirty and the LSU
+        // forwards every store downstream.
+        CacheParams l1 = params_.l1Cache;
+        l1.lineBytes = params_.lineBytes;
+        l1.write = WritePolicy::WriteThrough;
+        l1_ = std::make_unique<Cache>(prefix + ".l1", l1, stats_);
     }
 
     for (unsigned s = 0; s < params_.numSchedulers; ++s) {

@@ -62,6 +62,8 @@ struct SmParams
     bool l1Enabled = true;
     bool l1CachesGlobal = true;
     bool l1CachesLocal = true;
+    /** Capacity, ways and replacement of the L1; its line is
+     *  lineBytes and it writes through (SmCore sets both). */
     CacheParams l1Cache;
     Cycle l1HitLatency = 30;
     /** Miss detect -> ready to enter the interconnect. */

@@ -98,7 +98,8 @@ TEST(ParamMap, RejectsIntegersOutOfRange)
                  FatalError);
     EXPECT_THROW(applyOverride(cfg, "sm.warpSlots=4294967296"),
                  FatalError);
-    EXPECT_THROW(parseClockRatio("4294967297/1"), FatalError);
+    EXPECT_THROW(parseClockRatio("4294967297/1", "dramClock"),
+                 FatalError);
     EXPECT_THROW(parseJobs("99999999999999999999"), FatalError);
 }
 
@@ -291,6 +292,75 @@ TEST(ConfigOverride, RejectsRemovedSmGroupSizeKey)
                       "unknown config key '" + key + "'"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(ConfigOverride, RejectsRemovedDuplicateKeys)
+{
+    // One key per model value: the line size is sm.lineBytes, the
+    // FR-FCFS age mem.dram.starveLimit, and each cache's write
+    // policy is fixed by the model.
+    for (const char *key :
+         {"sm.l1Cache.lineBytes", "partition.lineBytes",
+          "partition.l2Cache.lineBytes", "partition.dramStarvationLimit",
+          "sm.l1Cache.write", "partition.l2Cache.write"}) {
+        GpuConfig cfg = makeConfig("gf106");
+        EXPECT_THROW(applyOverride(cfg, std::string(key) + "=1"),
+                     FatalError)
+            << key;
+    }
+}
+
+TEST(ConfigOverride, LineBytesAloneResizesEveryLine)
+{
+    // The cycles the same runs gave with the L1, partition and L2
+    // line sizes set alongside sm.lineBytes.
+    for (const auto &[line, cycles] :
+         {std::pair<const char *, Cycle>{"64", 23758},
+          std::pair<const char *, Cycle>{"256", 5536}}) {
+        ExperimentSpec spec;
+        spec.gpu = "gf106";
+        spec.workload = "vecadd";
+        spec.params = {"n=4096"};
+        spec.overrides = {std::string("sm.lineBytes=") + line};
+        const ExperimentRecord rec = runExperiment(spec);
+        EXPECT_TRUE(rec.correct) << line;
+        EXPECT_EQ(rec.cycles, cycles) << line;
+    }
+}
+
+TEST(ConfigOverride, ZeroInEveryNumericKeyVerifiesOrFailsByKey)
+{
+    // A zero in a count, size, latency or clock ratio either runs to
+    // a verified record or is rejected with a FatalError naming the
+    // key: never a panic, a crash or a hang.
+    for (const std::vector<std::string> &workload :
+         {std::vector<std::string>{"vecadd", "n=2048"},
+          std::vector<std::string>{"reduction", "n=4096"}}) {
+        const GpuConfig preset = makeConfig("gf106");
+        for (const ConfigKey &key : configKeys()) {
+            const std::string value = key.get(preset);
+            if (value.empty() ||
+                value.find_first_not_of("0123456789/") !=
+                    std::string::npos)
+                continue;
+            ExperimentSpec spec;
+            spec.gpu = "gf106";
+            spec.workload = workload[0];
+            spec.params = {workload[1]};
+            spec.overrides = {key.path + "=0"};
+            try {
+                EXPECT_TRUE(runExperiment(spec).correct)
+                    << workload[0] << " " << key.path << "=0";
+            } catch (const FatalError &e) {
+                EXPECT_NE(std::string(e.what()).find(key.path),
+                          std::string::npos)
+                    << workload[0] << ": " << e.what();
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << workload[0] << " " << key.path
+                              << "=0: " << e.what();
+            }
+        }
     }
 }
 

@@ -52,15 +52,25 @@ TEST(Config, TotalL2AggregatesSlices)
     EXPECT_EQ(makeGT200().totalL2Bytes(), 0u);
 }
 
-TEST(Config, PresetsHaveConsistentLineSizes)
+TEST(Config, CachesTakeTheirLineSizeAndWritePolicyFromTheModel)
 {
-    for (const char *name :
-         {"gt200", "gf106", "gk104", "gm107", "gf100-sim"}) {
-        const GpuConfig cfg = makeConfig(name);
-        EXPECT_EQ(cfg.sm.lineBytes, cfg.partition.lineBytes) << name;
-        EXPECT_EQ(cfg.sm.l1Cache.lineBytes, cfg.sm.lineBytes) << name;
-        EXPECT_EQ(cfg.partition.l2Cache.lineBytes, cfg.sm.lineBytes)
-            << name;
+    // sm.lineBytes is the one line-size knob; the L1 writes through
+    // and the L2 writes back whatever the cache params say.
+    for (const std::uint32_t line : {64u, 128u, 256u}) {
+        GpuConfig cfg = makeGF106();
+        cfg.sm.lineBytes = line;
+        cfg.sm.l1Cache.lineBytes = 32;
+        cfg.sm.l1Cache.write = WritePolicy::WriteBack;
+        cfg.partition.lineBytes = 32;
+        cfg.partition.l2Cache.lineBytes = 32;
+        cfg.partition.l2Cache.write = WritePolicy::WriteThrough;
+        Gpu gpu(cfg);
+        const CacheParams &l1 = gpu.sm(0).l1()->params();
+        EXPECT_EQ(l1.lineBytes, line);
+        EXPECT_EQ(l1.write, WritePolicy::WriteThrough);
+        const CacheParams &l2 = gpu.partition(0).l2()->params();
+        EXPECT_EQ(l2.lineBytes, line);
+        EXPECT_EQ(l2.write, WritePolicy::WriteBack);
     }
 }
 
@@ -71,18 +81,6 @@ TEST(Config, Gf100MatchesThePapersMachine)
     EXPECT_EQ(cfg.numPartitions, 6u);
     EXPECT_EQ(cfg.sm.warpSlots, 48u);
     EXPECT_EQ(cfg.partition.sched, DramSchedPolicy::FRFCFS);
-}
-
-TEST(Config, L2WritePolicyIsWriteBackEverywhere)
-{
-    for (const char *name :
-         {"gf106", "gk104", "gm107", "gf100-sim"}) {
-        const GpuConfig cfg = makeConfig(name);
-        EXPECT_EQ(cfg.partition.l2Cache.write, WritePolicy::WriteBack)
-            << name;
-        EXPECT_EQ(cfg.sm.l1Cache.write, WritePolicy::WriteThrough)
-            << name;
-    }
 }
 
 TEST(LaunchValidation, TooManyParamsIsFatal)

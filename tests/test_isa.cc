@@ -4,6 +4,8 @@
  * CFG/reconvergence analysis and the disassembler.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
@@ -62,6 +64,34 @@ TEST(Assembler, ParsesHexAndNegativeImmediates)
     )");
     EXPECT_EQ(k.code[0].imm, 16);
     EXPECT_EQ(k.code[1].imm, -5);
+}
+
+TEST(Assembler, Parses64BitImmediatesAndRejectsWiderOnes)
+{
+    // A full 64-bit pattern is its two's complement value.
+    const Kernel k = assemble(R"(
+        mov r1, 0xfffffffffffffffc
+        mov r2, 18446744073709551615
+        mov r3, -9223372036854775808
+        exit
+    )");
+    EXPECT_EQ(k.code[0].imm, -4);
+    EXPECT_EQ(k.code[1].imm, -1);
+    EXPECT_EQ(k.code[2].imm, INT64_MIN);
+
+    for (const char *literal :
+         {"0x10000000000000000", "18446744073709551616",
+          "100000000000000000000", "-0x1fffffffffffffffff"}) {
+        EXPECT_THROW(assemble(std::string("mov r1, ") + literal +
+                              "\nexit\n"),
+                     FatalError)
+            << literal;
+        EXPECT_THROW(assemble(std::string("ld.global r1, [r2+") +
+                              literal + "]\nexit\n"),
+                     FatalError)
+            << literal;
+    }
+    EXPECT_THROW(assemble("mov r99999999999, 1\nexit\n"), FatalError);
 }
 
 TEST(Assembler, ParsesLoadStoreAddressing)

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit + property tests for the latency analysis core: stage
- * attribution, breakdown bucketization, exposure accounting and
- * plateau detection.
+ * attribution, breakdown bucketization and exposure accounting.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "latency/breakdown.hh"
 #include "latency/exposure.hh"
 #include "latency/stages.hh"
-#include "latency/static_analyzer.hh"
 #include "latency/summary.hh"
 
 namespace gpulat {
@@ -266,49 +264,6 @@ TEST(Exposure, EmptyInput)
     EXPECT_EQ(eb.overallExposedPct(), 0.0);
 }
 
-TEST(Plateaus, SingleFlatCurveIsOneLevel)
-{
-    std::vector<LatencyCurvePoint> curve{
-        {1024, 440.0}, {2048, 441.0}, {4096, 440.5}};
-    const auto levels = detectPlateaus(curve);
-    ASSERT_EQ(levels.size(), 1u);
-    EXPECT_NEAR(levels[0].latency, 440.5, 1.0);
-}
-
-TEST(Plateaus, ThreeLevelHierarchyDetected)
-{
-    std::vector<LatencyCurvePoint> curve{
-        {4096, 45.0},    {8192, 45.2},    {16384, 45.1},
-        {32768, 310.0},  {65536, 310.4},  {131072, 309.8},
-        {262144, 684.0}, {524288, 685.0}, {1048576, 685.5},
-    };
-    const auto levels = detectPlateaus(curve);
-    ASSERT_EQ(levels.size(), 3u);
-    EXPECT_NEAR(levels[0].latency, 45.1, 0.5);
-    EXPECT_NEAR(levels[1].latency, 310.0, 1.0);
-    EXPECT_NEAR(levels[2].latency, 685.0, 1.0);
-    EXPECT_EQ(levels[0].maxFootprint, 16384u);
-    EXPECT_EQ(levels[1].maxFootprint, 131072u);
-}
-
-TEST(Plateaus, NoiseBelowThresholdIsAbsorbed)
-{
-    std::vector<LatencyCurvePoint> curve{
-        {1024, 100.0}, {2048, 108.0}, {4096, 95.0}, {8192, 104.0}};
-    EXPECT_EQ(detectPlateaus(curve, 0.15).size(), 1u);
-}
-
-TEST(Plateaus, RejectsUnsortedCurve)
-{
-    std::vector<LatencyCurvePoint> curve{{2048, 1.0}, {1024, 2.0}};
-    EXPECT_THROW(detectPlateaus(curve), PanicError);
-}
-
-TEST(Plateaus, EmptyCurveYieldsNoLevels)
-{
-    EXPECT_TRUE(detectPlateaus({}).empty());
-}
-
 TEST(Summary, SplitsByHitLevel)
 {
     std::vector<LatencyTrace> traces;
@@ -345,58 +300,6 @@ TEST(Summary, PercentilesAreOrdered)
     EXPECT_LE(d.p50, d.p90);
     EXPECT_LE(d.p90, d.p99);
     EXPECT_LE(d.p99, d.max);
-}
-
-TEST(LineSize, RecoversSaturationPoint)
-{
-    // stride/line miss mixing: latency = hit + (s/128)*(miss-hit).
-    std::vector<StrideCurvePoint> curve;
-    for (std::uint64_t s = 8; s <= 512; s *= 2) {
-        const double frac = std::min(1.0, static_cast<double>(s) / 128.0);
-        curve.push_back(StrideCurvePoint{s, 45.0 + frac * (685.0 - 45.0)});
-    }
-    EXPECT_EQ(detectLineSize(curve), 128u);
-}
-
-TEST(LineSize, FlatCurveMeansNoCache)
-{
-    std::vector<StrideCurvePoint> curve{
-        {8, 440.0}, {64, 441.0}, {128, 440.2}, {512, 440.9}};
-    EXPECT_EQ(detectLineSize(curve), 0u);
-}
-
-TEST(LineSize, RejectsUnsortedCurve)
-{
-    std::vector<StrideCurvePoint> curve{{64, 1.0}, {8, 2.0}};
-    EXPECT_THROW(detectLineSize(curve), PanicError);
-}
-
-/** Property: synthetic staircases of random height/width are
- *  recovered exactly. */
-TEST(PlateausProperty, RecoversRandomStaircases)
-{
-    Rng rng(21);
-    for (int trial = 0; trial < 100; ++trial) {
-        const std::size_t nlevels = 1 + rng.below(4);
-        std::vector<LatencyCurvePoint> curve;
-        std::vector<double> lats;
-        double lat = 30.0 + static_cast<double>(rng.below(50));
-        std::uint64_t fp = 1024;
-        for (std::size_t l = 0; l < nlevels; ++l) {
-            lats.push_back(lat);
-            const std::size_t pts = 2 + rng.below(3);
-            for (std::size_t i = 0; i < pts; ++i) {
-                curve.push_back(LatencyCurvePoint{
-                    fp, lat + rng.uniform() * lat * 0.02});
-                fp *= 2;
-            }
-            lat *= 1.5 + rng.uniform(); // clear jump
-        }
-        const auto levels = detectPlateaus(curve);
-        ASSERT_EQ(levels.size(), nlevels) << "trial " << trial;
-        for (std::size_t l = 0; l < nlevels; ++l)
-            EXPECT_NEAR(levels[l].latency, lats[l], lats[l] * 0.05);
-    }
 }
 
 } // namespace

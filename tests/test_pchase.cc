@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "microbench/pchase.hh"
-#include "microbench/sweep.hh"
 
 namespace gpulat {
 namespace {
@@ -129,51 +128,52 @@ TEST(PChase, RejectsBadStride)
     EXPECT_THROW(runPointerChase(gpu, pc), PanicError);
 }
 
-TEST(Sweep, LadderIsSortedAndCoversRange)
+/** Cycles per access of a warm chase on a fresh Gpu. */
+double
+chase(const GpuConfig &cfg, std::uint64_t footprint,
+      std::uint64_t stride, std::uint64_t timed)
 {
-    const auto ladder = footprintLadder(1024, 16 * 1024);
-    EXPECT_EQ(ladder.front(), 1024u);
-    EXPECT_GE(ladder.back(), 16 * 1024u / 2);
-    for (std::size_t i = 1; i < ladder.size(); ++i)
-        EXPECT_GT(ladder[i], ladder[i - 1]);
+    Gpu gpu(cfg);
+    PChaseConfig pc;
+    pc.footprintBytes = footprint;
+    pc.strideBytes = stride;
+    pc.timedAccesses = timed;
+    return runPointerChase(gpu, pc).cyclesPerAccess;
 }
 
-TEST(Sweep, StrideSweepRecoversLineSize)
+TEST(PChase, StrideLatencyRisesUpToTheLineSizeThenIsFlat)
 {
-    GpuConfig cfg = smallFermi();
-    SweepOptions opts;
-    opts.timedAccesses = 192;
-    // Footprint far beyond the L1 so every line transition misses.
+    // Far beyond the L1, a stride below the line size misses on one
+    // access in lineBytes / stride; from the line size on, every
+    // access misses.
+    const GpuConfig cfg = smallFermi();
     const std::uint64_t fp = cfg.sm.l1Cache.capacityBytes * 8;
-    const auto curve =
-        sweepStrides(cfg, fp, {8, 16, 32, 64, 128, 256}, opts);
-    EXPECT_EQ(detectLineSize(curve), cfg.sm.lineBytes);
+    const double at_line = chase(cfg, fp, cfg.sm.lineBytes, 192);
+    double prev = 0.0;
+    for (std::uint64_t stride = 8; stride < cfg.sm.lineBytes;
+         stride *= 2) {
+        const double lat = chase(cfg, fp, stride, 192);
+        EXPECT_GT(lat, prev) << "stride " << stride;
+        EXPECT_LT(lat, at_line * 0.95) << "stride " << stride;
+        prev = lat;
+    }
+    EXPECT_NEAR(chase(cfg, fp, cfg.sm.lineBytes * 2, 192), at_line,
+                at_line * 0.05);
 }
 
-TEST(Sweep, StrideSweepLatencyIsMonotone)
+TEST(PChase, LatencyStepsAtEachCacheCapacity)
 {
-    GpuConfig cfg = smallFermi();
-    SweepOptions opts;
-    opts.timedAccesses = 192;
-    const std::uint64_t fp = cfg.sm.l1Cache.capacityBytes * 8;
-    const auto curve = sweepStrides(cfg, fp, {8, 32, 128}, opts);
-    ASSERT_EQ(curve.size(), 3u);
-    EXPECT_LT(curve[0].latency, curve[1].latency);
-    EXPECT_LT(curve[1].latency, curve[2].latency);
-}
-
-TEST(Sweep, CurveIsMonotoneAcrossCapacityBoundary)
-{
-    GpuConfig cfg = smallFermi();
-    SweepOptions opts;
-    opts.timedAccesses = 128;
-    const std::uint64_t l1 = cfg.sm.l1Cache.capacityBytes;
-    const auto curve =
-        sweepFootprints(cfg, {l1 / 2, l1, l1 * 4}, opts);
-    ASSERT_EQ(curve.size(), 3u);
-    EXPECT_NEAR(curve[0].latency, curve[1].latency,
-                curve[0].latency * 0.05);
-    EXPECT_GT(curve[2].latency, curve[1].latency);
+    // Flat up to a cache's capacity, a step beyond it.
+    const GpuConfig cfg = smallFermi();
+    for (const std::uint64_t cap :
+         {std::uint64_t{cfg.sm.l1Cache.capacityBytes},
+          cfg.totalL2Bytes()}) {
+        const double half = chase(cfg, cap / 2, 128, 128);
+        const double full = chase(cfg, cap, 128, 128);
+        EXPECT_NEAR(full, half, half * 0.05) << "capacity " << cap;
+        EXPECT_GT(chase(cfg, cap * 4, 128, 128), full * 1.5)
+            << "capacity " << cap;
+    }
 }
 
 } // namespace

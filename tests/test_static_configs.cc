@@ -1,101 +1,110 @@
 /**
  * @file
- * Table-I calibration tests: the measured pointer-chase latencies on
- * each per-generation config must reproduce the paper's values
- * (within a small tolerance), and the structural properties the
- * paper highlights must hold (Kepler L1 is local-only, Maxwell has
- * no L1, Tesla has no caches, latencies grew after Kepler).
+ * Table-I calibration tests: every probe of the `table1` suite's
+ * plan (table1Probes()), run through runExperiment, must reproduce
+ * the paper's value it carries within a small tolerance, and the
+ * structural properties the paper highlights must hold (Kepler L1
+ * is local-only, Maxwell has no L1, Tesla has no caches, latencies
+ * grew after Kepler).
  */
 
 #include <gtest/gtest.h>
 
-#include "microbench/table1.hh"
+#include <algorithm>
+#include <map>
+#include <utility>
+
+#include "api/bench.hh"
 
 namespace gpulat {
 namespace {
 
-/** Measure the full table once for all tests in this file. */
-const std::vector<Table1Column> &
+/** Each probe's measured cycles per access, keyed (gpu, unit). */
+const std::map<std::pair<std::string, std::string>, double> &
 measured()
 {
-    static const std::vector<Table1Column> table = [] {
-        Table1Options opts;
-        opts.timedAccesses = 512;
-        opts.fullLadder = false;
-        return measureTable1(opts);
+    static const auto table = [] {
+        std::map<std::pair<std::string, std::string>, double> out;
+        for (const Table1Probe &probe : table1Probes()) {
+            const ExperimentRecord rec = runExperiment(probe.spec);
+            EXPECT_TRUE(rec.correct) << probe.gpu << " " << probe.unit;
+            out[{probe.gpu, probe.unit}] =
+                rec.metric("pchase_cycles_per_access");
+        }
+        return out;
     }();
     return table;
 }
 
+double
+at(const std::string &gpu, const std::string &unit)
+{
+    const auto it = measured().find({gpu, unit});
+    if (it == measured().end()) {
+        ADD_FAILURE() << "no " << unit << " probe on " << gpu;
+        return 0.0;
+    }
+    return it->second;
+}
+
 constexpr double kTolerance = 0.03; // 3 %
 
-void
-expectNear(const std::optional<double> &measured_value, double paper)
+TEST(Table1, EveryProbeMatchesThePaper)
 {
-    ASSERT_TRUE(measured_value.has_value());
-    EXPECT_NEAR(*measured_value, paper, paper * kTolerance);
+    for (const Table1Probe &probe : table1Probes()) {
+        ASSERT_GT(probe.paperCycles, 0.0) << probe.gpu << " " << probe.unit;
+        EXPECT_NEAR(at(probe.gpu, probe.unit), probe.paperCycles,
+                    probe.paperCycles * kTolerance)
+            << probe.gpu << " " << probe.unit;
+    }
 }
 
 TEST(Table1, ColumnsAreTheFourGenerations)
 {
-    const auto &t = measured();
-    ASSERT_EQ(t.size(), 4u);
-    EXPECT_EQ(t[0].gpu, "gt200");
-    EXPECT_EQ(t[1].gpu, "gf106");
-    EXPECT_EQ(t[2].gpu, "gk104");
-    EXPECT_EQ(t[3].gpu, "gm107");
+    std::vector<std::string> columns;
+    for (const Table1Probe &probe : table1Probes()) {
+        if (columns.empty() || columns.back() != probe.gpu)
+            columns.push_back(probe.gpu);
+    }
+    EXPECT_EQ(columns, (std::vector<std::string>{"gt200", "gf106",
+                                                 "gk104", "gm107"}));
 }
 
-TEST(Table1, TeslaHasNoCachesAndDram440)
+TEST(Table1, EachGenerationProbesTheLevelsItHas)
 {
-    const Table1Column &gt200 = measured()[0];
-    EXPECT_FALSE(gt200.l1.has_value());
-    EXPECT_FALSE(gt200.l2.has_value());
-    expectNear(gt200.dram, 440.0);
+    std::map<std::string, std::vector<std::string>> units;
+    for (const Table1Probe &probe : table1Probes())
+        units[probe.gpu].push_back(probe.unit);
+    using Units = std::vector<std::string>;
+    EXPECT_EQ(units["gt200"], (Units{"DRAM"}));
+    EXPECT_EQ(units["gf106"], (Units{"L1 D$", "L2 D$", "DRAM"}));
+    EXPECT_EQ(units["gk104"], (Units{"L1 D$", "L2 D$", "DRAM"}));
+    EXPECT_EQ(units["gm107"], (Units{"L2 D$", "DRAM"}));
 }
 
-TEST(Table1, FermiMatchesPaper)
+TEST(Table1, KeplerL1IsProbedThroughLocalSpace)
 {
-    const Table1Column &gf106 = measured()[1];
-    expectNear(gf106.l1, 45.0);
-    expectNear(gf106.l2, 310.0);
-    expectNear(gf106.dram, 685.0);
-}
-
-TEST(Table1, KeplerMatchesPaper)
-{
-    const Table1Column &gk104 = measured()[2];
-    expectNear(gk104.l1, 30.0); // via local space
-    expectNear(gk104.l2, 175.0);
-    expectNear(gk104.dram, 300.0);
-}
-
-TEST(Table1, MaxwellMatchesPaper)
-{
-    const Table1Column &gm107 = measured()[3];
-    EXPECT_FALSE(gm107.l1.has_value());
-    expectNear(gm107.l2, 194.0);
-    expectNear(gm107.dram, 350.0);
+    for (const Table1Probe &probe : table1Probes()) {
+        const auto &ps = probe.spec.params;
+        const bool local =
+            std::find(ps.begin(), ps.end(), "space=local") != ps.end();
+        EXPECT_EQ(local, probe.gpu == "gk104" && probe.unit == "L1 D$")
+            << probe.gpu << " " << probe.unit;
+    }
 }
 
 TEST(Table1, MaxwellSlowerThanKeplerEverywhere)
 {
     // The paper: "effectively making Maxwell's global/local memory
     // pipeline slower than Kepler's on every level".
-    const Table1Column &gk104 = measured()[2];
-    const Table1Column &gm107 = measured()[3];
-    EXPECT_GT(*gm107.l2, *gk104.l2);
-    EXPECT_GT(*gm107.dram, *gk104.dram);
+    EXPECT_GT(at("gm107", "L2 D$"), at("gk104", "L2 D$"));
+    EXPECT_GT(at("gm107", "DRAM"), at("gk104", "DRAM"));
 }
 
 TEST(Table1, FermiDramIsTheLargestLatency)
 {
-    const auto &t = measured();
-    for (const auto &col : t) {
-        if (col.gpu != "gf106") {
-            EXPECT_GT(*t[1].dram, *col.dram);
-        }
-    }
+    for (const std::string gpu : {"gt200", "gk104", "gm107"})
+        EXPECT_GT(at("gf106", "DRAM"), at(gpu, "DRAM")) << gpu;
 }
 
 TEST(Table1, StructuralFlagsMatchThePaper)
